@@ -11,7 +11,7 @@ over the same synthetic readings table:
   slices in bulk (``add_many``) instead of per-row tuples.
 
 The baseline is the same compiled engine with the vectorized paths
-disabled (``vectorized_scans(False)``) — i.e. the pre-columnar behaviour
+disabled (``EngineConfig(vectorized=False)``) — i.e. the pre-columnar behaviour
 of building one scope dict per row and calling compiled closures per
 expression.  The interpreted oracle runs once per workload to confirm all
 three paths return byte-identical relations.
@@ -40,9 +40,13 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
+from repro.engine.config import EngineConfig  # noqa: E402
 from repro.engine.database import Database  # noqa: E402
-from repro.engine.executor import execution_mode  # noqa: E402
-from repro.engine.vectorized import stats, vectorized_scans  # noqa: E402
+from repro.engine.vectorized import stats  # noqa: E402
+
+#: The row-at-a-time baseline and the interpreted oracle.
+ROW_PATH = EngineConfig(vectorized=False)
+ORACLE = EngineConfig(mode="interpreted")
 
 #: The three scan shapes; names become keys of the ``columnar`` section.
 WORKLOADS: Dict[str, str] = {
@@ -91,10 +95,8 @@ def measure_columnar(rows: int, repeats: int = 3, seed: int = 0) -> Dict[str, An
         stats.reset()
         vectorized_result = database.query(sql)
         hits = stats.total
-        with vectorized_scans(False):
-            row_path_result = database.query(sql)
-        with execution_mode("interpreted"):
-            oracle_result = database.query(sql)
+        row_path_result = database.query(sql, ROW_PATH)
+        oracle_result = database.query(sql, ORACLE)
         identical = (
             vectorized_result.schema.names == oracle_result.schema.names
             and vectorized_result.to_dicts()
@@ -104,11 +106,7 @@ def measure_columnar(rows: int, repeats: int = 3, seed: int = 0) -> Dict[str, An
 
         vectorized_median = _median_seconds(lambda: database.query(sql), repeats)
 
-        def run_row_path() -> None:
-            with vectorized_scans(False):
-                database.query(sql)
-
-        row_path_median = _median_seconds(run_row_path, repeats)
+        row_path_median = _median_seconds(lambda: database.query(sql, ROW_PATH), repeats)
         workload = {
             "sql": sql,
             "identical_to_oracle": identical,

@@ -58,7 +58,6 @@ from benchmarks.common import (  # noqa: E402
     build_processor,
     summarize_samples,
 )
-from repro.engine.executor import execution_mode  # noqa: E402
 
 #: Sections selectable with ``--only`` (default: all except the standalone
 #: ``standing`` grid, which normally rides inside the ``runtime`` report).
@@ -137,11 +136,10 @@ def measure_workload(workload: Dict[str, Any], repeats: int) -> Dict[str, Dict[s
 
     def run(mode: str):
         processor = processors[mode]
-        with execution_mode(mode):
-            if workload["use_r"]:
-                result = processor.process_r(PAPER_R_CODE, "ActionFilter")
-            else:
-                result = processor.process(PAPER_SQL, "ActionFilter")
+        if workload["use_r"]:
+            result = processor.process_r(PAPER_R_CODE, "ActionFilter")
+        else:
+            result = processor.process(PAPER_SQL, "ActionFilter")
         assert result.admitted
         return result
 
@@ -273,7 +271,7 @@ def main(argv: List[str] | None = None) -> int:
 
         # Skewed-conjunct filter, build-side-sensitive join, and adaptive
         # partial-aggregation placement — each differential-checked in-loop
-        # against the optimizer_mode(False) ablation.
+        # against the EngineConfig(optimizer=False) ablation.
         report["optimizer"] = run_optimizer(rows=100_000, repeats=args.repeats)
 
     if "obs" in enabled:

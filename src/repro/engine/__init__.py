@@ -15,7 +15,9 @@ Public surface:
 * :class:`~repro.engine.database.Database` offers ``create_table``,
   ``insert_rows`` and ``query(sql)``,
 * :class:`~repro.engine.executor.QueryExecutor` evaluates a parsed query
-  against a catalog of relations.
+  against a catalog of relations,
+* :class:`~repro.engine.config.EngineConfig` is the engine configuration
+  (path, vectorized scans, optimizer) passed by value to every engine call.
 """
 
 from repro.engine.errors import EngineError, ExecutionError, SchemaError
@@ -23,17 +25,8 @@ from repro.engine.types import DataType, infer_type
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
 from repro.engine.database import Database
-from repro.engine.executor import (
-    QueryExecutor,
-    default_execution_mode,
-    execution_mode,
-    set_default_execution_mode,
-)
-from repro.engine.vectorized import (
-    set_default_vectorized,
-    vectorized_enabled,
-    vectorized_scans,
-)
+from repro.engine.config import EngineConfig
+from repro.engine.executor import QueryExecutor
 
 __all__ = [
     "EngineError",
@@ -46,10 +39,5 @@ __all__ = [
     "Relation",
     "Database",
     "QueryExecutor",
-    "default_execution_mode",
-    "execution_mode",
-    "set_default_execution_mode",
-    "set_default_vectorized",
-    "vectorized_enabled",
-    "vectorized_scans",
+    "EngineConfig",
 ]

@@ -16,7 +16,8 @@ import threading
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.engine.errors import ExecutionError, SchemaError
-from repro.engine.executor import QueryExecutor, default_execution_mode
+from repro.engine.config import DEFAULT_CONFIG, EngineConfig
+from repro.engine.executor import QueryExecutor
 from repro.engine.schema import Schema
 from repro.engine.table import Relation
 from repro.sql import ast
@@ -28,19 +29,25 @@ class Database:
 
     Each database models one node of the vertical architecture, so a
     re-entrant lock serializes catalog mutations and query execution per
-    node: the shared :class:`~repro.engine.executor.QueryExecutor` (whose
-    plan memos and subquery-result epochs are single-threaded state) is only
-    ever driven by one thread at a time, while queries against *different*
-    nodes still run fully in parallel — which is exactly the concurrency the
-    fragment runtime exploits.
+    node: the shared :class:`~repro.engine.executor.QueryExecutor` objects
+    (whose plan memos and subquery-result epochs are single-threaded state)
+    are only ever driven by one thread at a time, while queries against
+    *different* nodes still run fully in parallel — which is exactly the
+    concurrency the fragment runtime exploits.
+
+    Every engine method takes the caller's
+    :class:`~repro.engine.config.EngineConfig`; the database keeps one
+    executor per configuration, so callers running different
+    configurations against one node never share a plan memo.
     """
 
     def __init__(self, name: str = "db") -> None:
         self.name = name
         self._tables: Dict[str, Relation] = {}
-        # Reused across queries so compiled plans survive repeated executions;
-        # invalidated whenever the set of registered tables changes.
-        self._executor: Optional[QueryExecutor] = None
+        # One executor per engine configuration, reused across queries so
+        # compiled plans survive repeated executions; all are invalidated
+        # whenever the set of registered tables changes.
+        self._executors: Dict[EngineConfig, QueryExecutor] = {}
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -62,7 +69,7 @@ class Database:
                 raise SchemaError(f"Table already exists: {name}")
             relation = Relation.empty(schema, name=name)
             self._tables[key] = relation
-            self._executor = None
+            self._executors.clear()
             return relation
 
     def register(self, name: str, relation: Relation, replace: bool = True) -> None:
@@ -85,18 +92,16 @@ class Database:
             replacement.name = name
             self._tables[key] = replacement
             # Re-registering a same-shaped relation (the pipeline's per-run
-            # d1..d4 fragments) keeps the executor and its compiled plans warm;
-            # anything that changes the column-name shape invalidates.
-            executor = self._executor
-            if (
-                executor is not None
-                and existing is not None
-                and [n.lower() for n in existing.schema.names]
-                == [n.lower() for n in replacement.schema.names]
-            ):
-                executor.replace_relation(key, replacement)
+            # d1..d4 fragments) keeps the executors and their compiled plans
+            # warm; anything that changes the column-name shape invalidates.
+            same_shape = existing is not None and [
+                n.lower() for n in existing.schema.names
+            ] == [n.lower() for n in replacement.schema.names]
+            if same_shape:
+                for executor in self._executors.values():
+                    executor.replace_relation(key, replacement)
             else:
-                self._executor = None
+                self._executors.clear()
 
     def drop_table(self, name: str) -> None:
         """Remove a table from the catalog."""
@@ -105,7 +110,7 @@ class Database:
             if key not in self._tables:
                 raise SchemaError(f"Unknown table: {name}")
             del self._tables[key]
-            self._executor = None
+            self._executors.clear()
 
     def table(self, name: str) -> Relation:
         """Return the relation registered under ``name``."""
@@ -133,23 +138,25 @@ class Database:
     # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
-    def query(self, sql_or_ast: Union[str, ast.Query]) -> Relation:
+    def query(
+        self, sql_or_ast: Union[str, ast.Query], config: EngineConfig = DEFAULT_CONFIG
+    ) -> Relation:
         """Parse (if needed) and execute a query against this database."""
         query = parse(sql_or_ast) if isinstance(sql_or_ast, str) else sql_or_ast
         with self._lock:
-            return self._mode_executor().execute(query)
+            return self._executor_for(config).execute(query)
 
-    def _mode_executor(self) -> QueryExecutor:
-        """The catalog executor for the calling thread's engine mode."""
-        executor = self._executor
-        if executor is None or executor.use_compiled != (
-            default_execution_mode() == "compiled"
-        ):
-            executor = QueryExecutor(self._tables)
-            self._executor = executor
+    def _executor_for(self, config: EngineConfig) -> QueryExecutor:
+        """The catalog executor for ``config`` (built on first use)."""
+        executor = self._executors.get(config)
+        if executor is None:
+            executor = QueryExecutor(self._tables, config)
+            self._executors[config] = executor
         return executor
 
-    def partial_aggregate(self, sql_or_ast: Union[str, ast.Query]) -> Relation:
+    def partial_aggregate(
+        self, sql_or_ast: Union[str, ast.Query], config: EngineConfig = DEFAULT_CONFIG
+    ) -> Relation:
         """Run a grouped query in *partial* mode: mergeable state rows.
 
         The query's FROM/WHERE run against this node's catalog as usual,
@@ -158,10 +165,13 @@ class Database:
         """
         query = parse(sql_or_ast) if isinstance(sql_or_ast, str) else sql_or_ast
         with self._lock:
-            return self._mode_executor().execute_partial_aggregation(query)
+            return self._executor_for(config).execute_partial_aggregation(query)
 
     def combine_partials(
-        self, sql_or_ast: Union[str, ast.Query], relation: Relation
+        self,
+        sql_or_ast: Union[str, ast.Query],
+        relation: Relation,
+        config: EngineConfig = DEFAULT_CONFIG,
     ) -> Relation:
         """Merge partial-state rows (from several children) per group.
 
@@ -171,15 +181,22 @@ class Database:
         """
         query = parse(sql_or_ast) if isinstance(sql_or_ast, str) else sql_or_ast
         with self._lock:
-            return self._mode_executor().combine_partial_aggregation(query, relation)
+            return self._executor_for(config).combine_partial_aggregation(
+                query, relation
+            )
 
     def finalize_partials(
-        self, sql_or_ast: Union[str, ast.Query], relation: Relation
+        self,
+        sql_or_ast: Union[str, ast.Query],
+        relation: Relation,
+        config: EngineConfig = DEFAULT_CONFIG,
     ) -> Relation:
         """Merge partial-state rows and produce the query's real output."""
         query = parse(sql_or_ast) if isinstance(sql_or_ast, str) else sql_or_ast
         with self._lock:
-            return self._mode_executor().finalize_partial_aggregation(query, relation)
+            return self._executor_for(config).finalize_partial_aggregation(
+                query, relation
+            )
 
     def explain(self, sql_or_ast: Union[str, ast.Query]) -> dict:
         """Return the structural summary of a query (no execution)."""
@@ -201,7 +218,7 @@ class Database:
         relation = Relation.from_rows(rows, name=name, schema=schema)
         with self._lock:
             self._tables[name.lower()] = relation
-            self._executor = None
+            self._executors.clear()
         return relation
 
     def total_rows(self) -> int:

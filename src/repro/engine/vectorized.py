@@ -47,55 +47,18 @@ row-major error, keeping error identity byte-for-byte.
 from __future__ import annotations
 
 import operator
-import threading
-from contextlib import contextmanager
 from enum import Enum
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.columns import BOOL, INT64, TypedColumn, take_column
 from repro.engine.errors import ExecutionError
 from repro.engine.evaluator import _like_to_regex
 from repro.engine.schema import ColumnDef, Schema
-from repro.engine.stats import TableStats, optimizer_enabled, optimizer_stats
+from repro.engine.stats import TableStats, optimizer_stats
 from repro.engine.table import Relation
 from repro.engine.types import DataType, infer_type
 from repro.sql import ast
 from repro.sql.render import render_expression
-
-# ---------------------------------------------------------------------------
-# toggle (mirrors executor.execution_mode): process default + thread override
-# ---------------------------------------------------------------------------
-
-_default_enabled = True
-_thread_state = threading.local()
-
-
-def set_default_vectorized(enabled: bool) -> None:
-    """Set the process-wide default for the vectorized fast paths."""
-    global _default_enabled
-    _default_enabled = bool(enabled)
-
-
-def vectorized_enabled() -> bool:
-    """The calling thread's setting (override, else process default)."""
-    override = getattr(_thread_state, "enabled", None)
-    return _default_enabled if override is None else override
-
-
-@contextmanager
-def vectorized_scans(enabled: bool) -> Iterator[None]:
-    """Temporarily enable/disable the vectorized paths on this thread.
-
-    The columnar benchmark flips this off to time the row-at-a-time
-    compiled path as the pre-columnar baseline.
-    """
-    previous = getattr(_thread_state, "enabled", None)
-    _thread_state.enabled = bool(enabled)
-    try:
-        yield
-    finally:
-        _thread_state.enabled = previous
-
 
 class BailReason(str, Enum):
     """Why a query fell back to the row-at-a-time path.
@@ -703,12 +666,12 @@ def _disjunction_terms(expression: ast.Expression) -> List[ast.Expression]:
 
 def _or_predicate(term: ast.BinaryOp):
     """Compile an OR tree to :class:`_OrPred`, or None when any leaf is
-    outside the simple-predicate vocabulary."""
+    outside the (widened) simple-predicate vocabulary."""
     disjuncts: List[List[Any]] = []
     for branch in _disjunction_terms(term):
         conjuncts: List[Any] = []
         for sub in ast.conjunction_terms(branch):
-            predicate = _simple_predicate(sub)
+            predicate = _simple_predicate(sub, widen=True)
             if predicate is None:
                 return None
             conjuncts.append(predicate)
@@ -716,18 +679,19 @@ def _or_predicate(term: ast.BinaryOp):
     return _OrPred(disjuncts)
 
 
-def _simple_predicate(term: ast.Expression):
+def _simple_predicate(term: ast.Expression, widen: bool):
     """Compile one WHERE conjunct to a filter, or None when not simple.
 
     The base vocabulary (comparisons, IS NULL, BETWEEN, LIKE, IN) is always
     available; OR-of-conjuncts and arithmetic-on-column comparisons are
-    optimizer-era widenings, gated on the toggle so the ablation arm keeps
-    today's syntactic bail behaviour (plan memos key on the toggle).
+    optimizer-era widenings, enabled by ``widen`` (the executor's
+    ``config.optimizer``) so the ablation arm keeps the syntactic bail
+    behaviour.
     """
     if isinstance(term, ast.BinaryOp):
         op = term.operator.upper()
         if op == "OR":
-            if not optimizer_enabled():
+            if not widen:
                 return None
             return _or_predicate(term)
         if op not in _EQ_OPS and op not in _ORDER_OPS:
@@ -744,9 +708,7 @@ def _simple_predicate(term: ast.Expression):
             if term.left.value is None:
                 return _AlwaysNullPred()
             return _ComparePred(right_col, op, term.left.value, swapped=True)
-        if optimizer_enabled() and (
-            _has_arithmetic(term.left) or _has_arithmetic(term.right)
-        ):
+        if widen and (_has_arithmetic(term.left) or _has_arithmetic(term.right)):
             columns: List[str] = []
             left_fn = _compile_value(term.left, columns)
             if left_fn is not None:
@@ -962,16 +924,16 @@ def order_conjuncts(
 
 
 def _apply_predicates(
-    predicates: Sequence[Any], relation: Relation
+    predicates: Sequence[Any], relation: Relation, reorder: bool
 ) -> Optional[List[int]]:
-    """Filter row indices through the conjuncts; None means "all rows"."""
+    """Filter row indices through the conjuncts; None means "all rows".
+
+    ``reorder`` (the executor's ``config.optimizer``) lets large inputs
+    run the conjuncts in estimated-selectivity order.
+    """
     if not predicates:
         return None
-    if (
-        len(predicates) > 1
-        and optimizer_enabled()
-        and len(relation) >= _MIN_REORDER_ROWS
-    ):
+    if reorder and len(predicates) > 1 and len(relation) >= _MIN_REORDER_ROWS:
         predicates = order_conjuncts(predicates, relation, relation.stats())
     sel = list(range(len(relation)))
     nulls: Set[int] = set()
@@ -1102,11 +1064,11 @@ def _resolve_vector_specs(
     return specs
 
 
-def _plan_predicates(query: ast.SelectQuery) -> Optional[List[Any]]:
+def _plan_predicates(query: ast.SelectQuery, widen: bool) -> Optional[List[Any]]:
     predicates: List[Any] = []
     if query.where is not None:
         for term in ast.conjunction_terms(query.where):
-            predicate = _simple_predicate(term)
+            predicate = _simple_predicate(term, widen)
             if predicate is None:
                 return None
             predicates.append(predicate)
@@ -1120,13 +1082,12 @@ def plan_select(executor, query: ast.Query):
     included — so :data:`stats` counts fallback executions.
     """
     memo = executor._vector_plans
-    enabled = optimizer_enabled()
     cached = memo.get(id(query))
-    if cached is not None and cached[0] is query and cached[3] == enabled:
+    if cached is not None and cached[0] is query:
         plan, reason = cached[1], cached[2]
     else:
         plan, reason = _plan_select_uncached(executor, query)
-        executor._store_plan(memo, id(query), (query, plan, reason, enabled))
+        executor._store_plan(memo, id(query), (query, plan, reason))
     if plan is None:
         stats.bail(reason)
     return plan
@@ -1145,7 +1106,7 @@ def _plan_select_uncached(executor, query: ast.Query):
         # The row path raises the same "Unknown table".
         return None, BailReason.UNKNOWN_TABLE
     table_columns = {name.lower() for name in table.schema.names}
-    predicates = _plan_predicates(query)
+    predicates = _plan_predicates(query, executor.config.optimizer)
     if predicates is None:
         return None, BailReason.COMPLEX_PREDICATE
     table_name = query.from_clause.name
@@ -1186,7 +1147,7 @@ def _plan_select_uncached(executor, query: ast.Query):
     distinct = bool(query.distinct)
     order_spec: Optional[List[Tuple[str, bool]]] = None
     if distinct or query.order_by:
-        if not optimizer_enabled():
+        if not executor.config.optimizer:
             return None, BailReason.DISTINCT_OR_ORDER_BY
         lowered_names = [name.lower() for name in out_names]
         if len(set(lowered_names)) != len(lowered_names):
@@ -1273,7 +1234,7 @@ def try_execute_select(executor, query: ast.Query, parent) -> Optional[Relation]
         stats.bail(BailReason.COLUMN_DRIFT)
         return None  # catalog shape drifted from the planned columns
     try:
-        sel = _apply_predicates(plan.predicates, relation)
+        sel = _apply_predicates(plan.predicates, relation, executor.config.optimizer)
     except _SCAN_ABANDON_ERRORS:
         stats.bail(BailReason.SCAN_ABANDONED)
         return None
@@ -1575,13 +1536,12 @@ class PartialScanPlan(GroupedScanPlan):
 def plan_partial(executor, query: ast.SelectQuery):
     """Build (and cache) a partial-aggregation scan plan, or None."""
     memo = executor._vector_partial_plans
-    enabled = optimizer_enabled()
     cached = memo.get(id(query))
-    if cached is not None and cached[0] is query and cached[3] == enabled:
+    if cached is not None and cached[0] is query:
         plan, reason = cached[1], cached[2]
     else:
         plan, reason = _plan_partial_uncached(executor, query)
-        executor._store_plan(memo, id(query), (query, plan, reason, enabled))
+        executor._store_plan(memo, id(query), (query, plan, reason))
     if plan is None:
         stats.bail(reason)
     return plan
@@ -1597,7 +1557,7 @@ def _plan_partial_uncached(executor, query: ast.SelectQuery):
     except ExecutionError:
         return None, BailReason.UNKNOWN_TABLE
     table_columns = {name.lower() for name in table.schema.names}
-    predicates = _plan_predicates(query)
+    predicates = _plan_predicates(query, executor.config.optimizer)
     if predicates is None:
         return None, BailReason.COMPLEX_PREDICATE
     partial_plan = executor._partial_plan(query)
@@ -1627,7 +1587,7 @@ def try_execute_partial(executor, query: ast.SelectQuery) -> Optional[Relation]:
         return None
     partial_plan = executor._partial_plan(query)
     try:
-        sel = _apply_predicates(plan.predicates, relation)
+        sel = _apply_predicates(plan.predicates, relation, executor.config.optimizer)
     except _SCAN_ABANDON_ERRORS:
         stats.bail(BailReason.SCAN_ABANDONED)
         return None
@@ -1688,7 +1648,9 @@ def estimate_select_rows(
     WHERE conjunct, distinct counts per GROUP BY key); falls back to
     textbook constants (0.5 per opaque conjunct, ``sqrt(rows)`` groups)
     when only ``input_rows`` is known.  Estimates are advisory — they feed
-    ``explain()``/profiling and the calibration report, never results.
+    ``explain()``/profiling and the calibration report, never results — so
+    every configuration estimates with the full (widened) predicate
+    vocabulary.
     """
     if not isinstance(query, ast.SelectQuery):
         return None
@@ -1703,7 +1665,7 @@ def estimate_select_rows(
     estimate = float(rows)
     if query.where is not None:
         for term in ast.conjunction_terms(query.where):
-            predicate = _simple_predicate(term)
+            predicate = _simple_predicate(term, widen=True)
             if predicate is not None:
                 estimate *= predicate_selectivity(predicate, table_stats)
             else:

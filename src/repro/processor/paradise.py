@@ -24,9 +24,8 @@ import time
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.anonymize.anonymizer import Anonymizer
-from repro.engine.executor import execution_mode
+from repro.engine.config import EngineConfig
 from repro.engine.schema import Schema
-from repro.engine.stats import optimizer_mode
 from repro.engine.table import Relation
 from repro.engine.vectorized import estimate_select_rows
 from repro.fragment.fragmenter import VerticalFragmenter
@@ -83,6 +82,7 @@ class ParadiseProcessor:
         cost_model: Optional[CostModel] = None,
         partial_aggregation: bool = True,
         optimizer: Optional[bool] = None,
+        vectorized: bool = True,
         allow_partial_results: bool = False,
         retry_policy: Optional[RetryPolicy] = None,
         profile: bool = False,
@@ -116,9 +116,21 @@ class ParadiseProcessor:
         self.fragmenter = VerticalFragmenter(self.topology)
         self.anonymizer = anonymizer or Anonymizer(algorithm="k_anonymity", k=5)
         self.enforce_query_interval = enforce_query_interval
-        #: Per-node database execution path: "compiled" (default) or the
+        #: The engine configuration passed to every engine call of every
+        #: run — serial, scheduler threads, worker processes and standing
+        #: refreshes alike.  ``engine_mode``: "compiled" (default) or the
         #: interpreted reference oracle (benchmark baselines, audits).
-        self.engine_mode = engine_mode
+        #: ``vectorized``: the columnar scan fast paths.  ``optimizer``:
+        #: statistics-driven cost-based optimization — selectivity-ordered
+        #: conjuncts, vectorized OR/ORDER BY/DISTINCT scans, join build-side
+        #: and nested-loop choices, and the adaptive partial-aggregation
+        #: ratio.  ``vectorized=False`` / ``optimizer=False`` are benchmark
+        #: ablation knobs; results are byte-identical either way.
+        self.config = EngineConfig(
+            mode=engine_mode,
+            vectorized=bool(vectorized),
+            optimizer=True if optimizer is None else bool(optimizer),
+        )
         #: Plan execution strategy: "serial" walks the plan hop by hop (the
         #: differential oracle); "parallel" schedules an execution DAG over
         #: the topology tree (:mod:`repro.runtime`).
@@ -127,12 +139,6 @@ class ParadiseProcessor:
         #: aggregation plus per-level combines when possible; ``False``
         #: restores the global-merge baseline (benchmark ablation knob).
         self.partial_aggregation = partial_aggregation
-        #: Statistics-driven cost-based optimization: selectivity-ordered
-        #: conjuncts, vectorized OR/ORDER BY/DISTINCT scans, join build-side
-        #: and nested-loop choices, and the adaptive partial-aggregation
-        #: ratio.  ``False`` restores the purely syntactic choices
-        #: (benchmark ablation knob); results are byte-identical either way.
-        self.optimizer = True if optimizer is None else bool(optimizer)
         #: Default data-loss policy for parallel runs: ``False`` raises
         #: :class:`~repro.runtime.faults.DataLossError` when base data is
         #: unrecoverable, ``True`` degrades to a partial result with a
@@ -301,26 +307,21 @@ class ParadiseProcessor:
 
         # 4. distributed execution + 5. anonymization + 6. remainder
         if strategy == "parallel" and plan.fragments:
-            # The wrap covers the DAG build (the adaptive partial-aggregation
-            # decision); worker threads re-enter the mode per task from
-            # ``context.optimizer``.
-            with optimizer_mode(self.optimizer):
-                final = self._execute_plan_parallel(
-                    plan,
-                    result,
-                    anonymize=anonymize,
-                    namespace=namespace,
-                    faults=faults,
-                    on_data_loss=on_data_loss,
-                    task_timeout=task_timeout,
-                    trace=trace,
-                )
+            final = self._execute_plan_parallel(
+                plan,
+                result,
+                anonymize=anonymize,
+                namespace=namespace,
+                faults=faults,
+                on_data_loss=on_data_loss,
+                task_timeout=task_timeout,
+                trace=trace,
+            )
         else:
-            with execution_mode(self.engine_mode), optimizer_mode(self.optimizer):
-                with maybe_span(trace, "serial_plan", kind="dag_run", epoch=0):
-                    final = self._execute_plan(
-                        plan, result, anonymize=anonymize, trace=trace
-                    )
+            with maybe_span(trace, "serial_plan", kind="dag_run", epoch=0):
+                final = self._execute_plan(
+                    plan, result, anonymize=anonymize, trace=trace
+                )
             result.transfers = self.network.log
         result.result = final
         result.elapsed_seconds = time.perf_counter() - started
@@ -401,15 +402,15 @@ class ParadiseProcessor:
         lines.append(plan.pretty())
 
         if strategy == "parallel" and plan.fragments:
-            with optimizer_mode(self.optimizer):
-                dag = build_execution_dag(
-                    plan,
-                    self.topology,
-                    self.network,
-                    anonymize=anonymize,
-                    namespace=namespace,
-                    partial_aggregation=self.partial_aggregation,
-                )
+            dag = build_execution_dag(
+                plan,
+                self.topology,
+                self.network,
+                anonymize=anonymize,
+                namespace=namespace,
+                partial_aggregation=self.partial_aggregation,
+                config=self.config,
+            )
             lines.append("")
             lines.append(
                 f"parallel DAG: {len(dag.tasks)} tasks over "
@@ -519,7 +520,7 @@ class ParadiseProcessor:
                 trace, fragment.name, kind="fragment", node=target_node
             ) as span:
                 fragment_started = time.perf_counter()
-                current_relation = database.query(fragment.query)
+                current_relation = database.query(fragment.query, self.config)
                 elapsed = time.perf_counter() - fragment_started
                 self._observe_serial(
                     trace, span, "fragment", target_node, input_rows,
@@ -578,7 +579,7 @@ class ParadiseProcessor:
             self._charge_compute(remainder_input_rows, cloud)
             with maybe_span(trace, "Q_delta", kind="fragment", node=cloud) as span:
                 remainder_started = time.perf_counter()
-                current_relation = database.query(plan.remainder_query)
+                current_relation = database.query(plan.remainder_query, self.config)
                 elapsed = time.perf_counter() - remainder_started
                 self._observe_serial(
                     trace, span, "remainder", cloud, remainder_input_rows,
@@ -628,7 +629,7 @@ class ParadiseProcessor:
                     trace, f"{first.name}[{holder}]", kind="fragment", node=holder
                 ) as span:
                     fragment_started = time.perf_counter()
-                    partial = database.query(first.query)
+                    partial = database.query(first.query, self.config)
                     elapsed = time.perf_counter() - fragment_started
                     self._observe_serial(
                         trace, span, "fragment", holder, chunk_rows, partial, elapsed
@@ -709,7 +710,7 @@ class ParadiseProcessor:
         context = ExecutionContext(
             network=self.network,
             log=run_log,
-            engine_mode=self.engine_mode,
+            config=self.config,
             cost_model=self.cost_model,
             anonymizer=self.anonymizer,
             checkpoints=CheckpointStore(),
@@ -717,7 +718,6 @@ class ParadiseProcessor:
             trace=trace,
             calibration=self.calibration if trace is not None else None,
             dispatcher=self._process_dispatcher(),
-            optimizer=self.optimizer,
         )
 
         current_plan, current_topology = plan, self.topology
@@ -732,6 +732,7 @@ class ParadiseProcessor:
                 anonymize=anonymize,
                 namespace=namespace,
                 partial_aggregation=self.partial_aggregation,
+                config=self.config,
             )
             try:
                 report = self.scheduler.run(

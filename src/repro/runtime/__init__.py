@@ -50,12 +50,18 @@ query the environment at once.  This package closes that gap:
     loop marks the node dead, re-places its chunks onto live siblings and
     re-plans the DAG (:func:`~repro.runtime.dag.replan_without`).
 
+Every task passes the run's :class:`~repro.engine.config.EngineConfig`
+(``ExecutionContext.config``) to its engine call, whether it runs on a
+scheduler thread or in a worker process (the config byte of the job
+header); standing refreshes pass the processor's config the same way.
+
 The serial executor remains in place as the *differential oracle*
-(``ParadiseProcessor(execution="serial")``, mirroring PR 1's
-``engine_mode`` pattern): the parallel runtime must return byte-identical
-relations on every workload — including every workload under every
-*recoverable* injected failure, which ``tests/test_chaos.py`` enforces on
-top of the healthy differentials of ``tests/test_runtime.py``.
+(``ParadiseProcessor(execution="serial")``, mirroring the engine's
+``EngineConfig(mode="interpreted")`` oracle): the parallel runtime must
+return byte-identical relations on every workload — including every
+workload under every *recoverable* injected failure, which
+``tests/test_chaos.py`` enforces on top of the healthy differentials of
+``tests/test_runtime.py``.
 """
 
 from repro.runtime.cost import DEFAULT_TASK_TIMEOUT, CostModel

@@ -11,15 +11,17 @@ on the coordinator.
 
 **Everything crosses the process boundary as wire bytes.**  A job is one
 ``bytes`` payload framed by this module (magic ``PJB1``): the operation
-kind, the engine mode, the query as rendered SQL text, the referenced
-input relations and the optional merged partial-state relation, each
-relation packed with :func:`repro.engine.wire.pack_relation`.  The worker
-builds a throwaway :class:`~repro.engine.database.Database` from those
-bytes, runs the operation under the requested engine mode and returns the
-output relation packed the same way.  No :class:`Relation` or aggregate
-state is ever pickled (``Relation.__reduce__`` raises, so an accidental
-pickle fails loudly); queries travel as SQL text, exercising the
-render → parse round-trip.
+kind, the engine configuration byte (mode plus the vectorized and
+optimizer flags of :class:`~repro.engine.config.EngineConfig`), the query
+as rendered SQL text, the referenced input relations and the optional
+merged partial-state relation, each relation packed with
+:func:`repro.engine.wire.pack_relation`.  The worker builds a throwaway
+:class:`~repro.engine.database.Database` from those bytes, runs the
+operation under the decoded configuration and returns the output relation
+packed the same way.  No :class:`Relation` or aggregate state is ever
+pickled (``Relation.__reduce__`` raises, so an accidental pickle fails
+loudly); queries travel as SQL text, exercising the render → parse
+round-trip.
 
 Workers are plain spawned interpreters, so a dispatched operation sees
 *only* what its payload carries — the same visibility contract as a real
@@ -37,8 +39,8 @@ from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.config import ENGINE_MODES, EngineConfig
 from repro.engine.database import Database
-from repro.engine.executor import execution_mode
 from repro.engine.table import Relation
 from repro.engine.wire import WireFormatError, pack_relation, unpack_relation
 from repro.sql import ast
@@ -48,9 +50,31 @@ from repro.sql.render import render
 #: Engine operations a worker can run.  Index = wire opcode.
 OPERATIONS = ("query", "partial", "combine", "finalize")
 
-_ENGINE_MODES = ("compiled", "interpreted")
-
 _JOB_MAGIC = b"PJB1"
+
+#: Config byte layout: bit 0 = mode (index into ``ENGINE_MODES``),
+#: bit 1 = vectorized, bit 2 = optimizer; any other bit is malformed.
+_VECTORIZED_BIT = 0b010
+_OPTIMIZER_BIT = 0b100
+_CONFIG_BITS = 0b111
+
+
+def _config_byte(config: EngineConfig) -> int:
+    return (
+        ENGINE_MODES.index(config.mode)
+        | (_VECTORIZED_BIT if config.vectorized else 0)
+        | (_OPTIMIZER_BIT if config.optimizer else 0)
+    )
+
+
+def _config_from_byte(code: int) -> EngineConfig:
+    if code & ~_CONFIG_BITS:
+        raise WireFormatError("Malformed worker job payload (bad config byte)")
+    return EngineConfig(
+        mode=ENGINE_MODES[code & 1],
+        vectorized=bool(code & _VECTORIZED_BIT),
+        optimizer=bool(code & _OPTIMIZER_BIT),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +82,7 @@ _JOB_MAGIC = b"PJB1"
 # ---------------------------------------------------------------------------
 def encode_job(
     op: str,
-    engine_mode: str,
+    config: EngineConfig,
     sql: str,
     tables: Sequence[Tuple[str, bytes]],
     state: Optional[bytes] = None,
@@ -66,11 +90,9 @@ def encode_job(
     """Frame one worker job as a single self-describing byte payload."""
     if op not in OPERATIONS:
         raise ValueError(f"Unknown worker operation: {op!r}")
-    if engine_mode not in _ENGINE_MODES:
-        raise ValueError(f"Unknown engine mode: {engine_mode!r}")
     out = bytearray(_JOB_MAGIC)
     out.append(OPERATIONS.index(op))
-    out.append(_ENGINE_MODES.index(engine_mode))
+    out.append(_config_byte(config))
     sql_bytes = sql.encode("utf-8")
     out += struct.pack("<I", len(sql_bytes))
     out += sql_bytes
@@ -119,15 +141,15 @@ class _JobReader:
 
 def decode_job(
     data: bytes,
-) -> Tuple[str, str, str, List[Tuple[str, bytes]], Optional[bytes]]:
+) -> Tuple[str, EngineConfig, str, List[Tuple[str, bytes]], Optional[bytes]]:
     """Inverse of :func:`encode_job`; raises :class:`WireFormatError`."""
     reader = _JobReader(data)
     if reader.take(4) != _JOB_MAGIC:
         raise WireFormatError("Malformed worker job payload (bad magic)")
     op_code = reader.u8()
-    mode_code = reader.u8()
-    if op_code >= len(OPERATIONS) or mode_code >= len(_ENGINE_MODES):
+    if op_code >= len(OPERATIONS):
         raise WireFormatError("Malformed worker job payload (bad opcode)")
+    config = _config_from_byte(reader.u8())
     try:
         sql = reader.take(reader.u32()).decode("utf-8")
     except UnicodeDecodeError as error:
@@ -139,7 +161,7 @@ def decode_job(
     state = reader.take(reader.u32()) if reader.u8() else None
     if reader.offset != len(data):
         raise WireFormatError("Trailing bytes after worker job payload")
-    return OPERATIONS[op_code], _ENGINE_MODES[mode_code], sql, tables, state
+    return OPERATIONS[op_code], config, sql, tables, state
 
 
 # ---------------------------------------------------------------------------
@@ -150,23 +172,22 @@ def execute_job(payload: bytes) -> bytes:
 
     This is the *entire* worker-side surface: decode the job, rebuild a
     throwaway database from the packed input relations, run the operation
-    under the requested engine mode, pack the output.
+    under the job's engine configuration, pack the output.
     """
-    op, engine_mode_name, sql, tables, state = decode_job(payload)
+    op, config, sql, tables, state = decode_job(payload)
     database = Database(name="procs-worker")
     for name, blob in tables:
         database.register(name, unpack_relation(blob))
     merged = unpack_relation(state) if state is not None else None
     query = parse(sql)
-    with execution_mode(engine_mode_name):
-        if op == "query":
-            output = database.query(query)
-        elif op == "partial":
-            output = database.partial_aggregate(query)
-        elif op == "combine":
-            output = database.combine_partials(query, merged)
-        else:
-            output = database.finalize_partials(query, merged)
+    if op == "query":
+        output = database.query(query, config)
+    elif op == "partial":
+        output = database.partial_aggregate(query, config)
+    elif op == "combine":
+        output = database.combine_partials(query, merged, config)
+    else:
+        output = database.finalize_partials(query, merged, config)
     return pack_relation(output)
 
 
@@ -257,7 +278,7 @@ class ProcessDispatcher:
     def run(
         self,
         op: str,
-        engine_mode_name: str,
+        config: EngineConfig,
         query: ast.Query,
         tables: Sequence[Tuple[str, Relation]],
         state: Optional[Relation] = None,
@@ -265,9 +286,7 @@ class ProcessDispatcher:
         """Dispatch one engine operation and return its output relation."""
         packed_tables = [(name, pack_relation(rel)) for name, rel in tables]
         packed_state = pack_relation(state) if state is not None else None
-        payload = encode_job(
-            op, engine_mode_name, render(query), packed_tables, packed_state
-        )
+        payload = encode_job(op, config, render(query), packed_tables, packed_state)
         self.jobs += 1
         self.bytes_out += len(payload)
         future = _shared_pool(self.workers).submit(execute_job, payload)

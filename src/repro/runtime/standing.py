@@ -48,11 +48,9 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from typing import (
     Any,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -63,9 +61,8 @@ from typing import (
 
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError
-from repro.engine.executor import _shallow_function_calls, execution_mode
+from repro.engine.executor import _shallow_function_calls
 from repro.engine.schema import ColumnDef, Schema
-from repro.engine.stats import optimizer_mode
 from repro.engine.table import Relation
 from repro.engine.wire import pack_state_relation, unpack_state_relation
 from repro.fragment.plan import is_decomposable_aggregation
@@ -254,7 +251,7 @@ class _StateTree:
             database = network.database(holder)
             if self.table not in database:
                 continue  # registered before any data landed on this node
-            state = database.partial_aggregate(self.core)
+            state = database.partial_aggregate(self.core, self.runtime.config)
             self.leaf_states[holder] = pack_state_relation(state)
         self._rebuild_placement()
 
@@ -297,7 +294,7 @@ class _StateTree:
             [self._state_of(child) for child in children], name=""
         )
         combined = self.runtime.network.database(parent).combine_partials(
-            self.core, merged
+            self.core, merged, self.runtime.config
         )
         self.node_states[parent] = pack_state_relation(combined)
 
@@ -309,13 +306,14 @@ class _StateTree:
         group count) — everything else in the tree is untouched.
         """
         network = self.runtime.network
+        config = self.runtime.config
         database = network.database(leaf)
         if leaf not in self.leaf_states:
             # First chunk on a node the tree has never covered: its current
             # chunk (delta included — it was already appended) becomes a new
             # leaf state, and the placement rebuilds over the grown holder
             # list so the root union stays in partition order.
-            state = database.partial_aggregate(self.core)
+            state = database.partial_aggregate(self.core, config)
             self.leaf_states[leaf] = pack_state_relation(state)
             self._rebuild_placement()
             return len(state)
@@ -324,12 +322,12 @@ class _StateTree:
         # its compiled partial plan warm (dropping it would invalidate them
         # on every delta).
         database.register(DELTA_TABLE, delta)
-        delta_state = database.partial_aggregate(self._delta_query)
+        delta_state = database.partial_aggregate(self._delta_query, config)
         old_state = unpack_state_relation(self.leaf_states[leaf])
         # Old state first, delta state second: first-occurrence order over
         # the concatenation equals one pass over the full chunk.
         merged = database.combine_partials(
-            self.core, union_partials([old_state, delta_state], name="")
+            self.core, union_partials([old_state, delta_state], name=""), config
         )
         self.leaf_states[leaf] = pack_state_relation(merged)
         self._root_cache = None
@@ -378,7 +376,7 @@ class _StateTree:
         """Run the subscriber's finalize tail over the shared root state."""
         state = self._remap_state(self.root_state(), handle)
         database = self.runtime.network.database(self.runtime.topology.cloud.name)
-        return database.finalize_partials(handle.query, state)
+        return database.finalize_partials(handle.query, state, self.runtime.config)
 
     def state_bytes(self) -> int:
         """Total packed size of every stored state (wire-codec bytes)."""
@@ -407,6 +405,9 @@ class StandingQueryRuntime:
         self.processor = processor
         self.network = processor.network
         self.topology = processor.topology
+        #: The processor's engine configuration, passed to every engine call
+        #: of registration, refresh and the re-execution oracle.
+        self.config = processor.config
         self.default_table = table_name
         self.trace = trace
         self._lock = threading.RLock()
@@ -416,17 +417,6 @@ class StandingQueryRuntime:
         self._next_tree_id = 0
         self._next_query_id = 0
         self._last_refresh_span_id: Optional[int] = None
-
-    # ------------------------------------------------------------------
-    # engine-mode plumbing
-    # ------------------------------------------------------------------
-    @contextmanager
-    def _engine(self) -> Iterator[None]:
-        """Run engine calls under the processor's engine/optimizer modes."""
-        with execution_mode(self.processor.engine_mode), optimizer_mode(
-            self.processor.optimizer
-        ):
-            yield
 
     # ------------------------------------------------------------------
     # registration
@@ -481,7 +471,7 @@ class StandingQueryRuntime:
             )
         sub_keys = [key for key, _ in _ordered_aggregate_calls(parsed)]
         signature = self._signature(parsed)
-        with self._lock, self._engine():
+        with self._lock:
             tree, shared = self._attach_tree(parsed, signature, sub_keys)
             self._next_query_id += 1
             handle = StandingQueryHandle(
@@ -630,23 +620,22 @@ class StandingQueryRuntime:
                 self.network.append_to_partition(node_name, table, relation)
                 groups_touched = 0
                 refinalized = 0
-                with self._engine():
-                    for tree in self._trees_for(table):
-                        if len(relation) == 0:
-                            # Empty delta: the state (hence every result)
-                            # is unchanged; only the epoch advances.
-                            for handle in tree.subscribers:
-                                handle.epoch = epoch
-                            continue
-                        groups_touched += tree.apply_delta(node_name, relation)
+                for tree in self._trees_for(table):
+                    if len(relation) == 0:
+                        # Empty delta: the state (hence every result)
+                        # is unchanged; only the epoch advances.
                         for handle in tree.subscribers:
-                            finalize_started = time.perf_counter()
-                            handle._result = tree.finalize(handle)
                             handle.epoch = epoch
-                            refinalized += 1
-                            _metrics.histogram(
-                                "standing.finalize_seconds"
-                            ).observe(time.perf_counter() - finalize_started)
+                        continue
+                    groups_touched += tree.apply_delta(node_name, relation)
+                    for handle in tree.subscribers:
+                        finalize_started = time.perf_counter()
+                        handle._result = tree.finalize(handle)
+                        handle.epoch = epoch
+                        refinalized += 1
+                        _metrics.histogram(
+                            "standing.finalize_seconds"
+                        ).observe(time.perf_counter() - finalize_started)
                 _metrics.counter("standing.refreshes").inc()
                 _metrics.counter("standing.delta_rows").inc(len(relation))
                 _metrics.counter("standing.groups_refinalized").inc(groups_touched)
@@ -710,7 +699,8 @@ class StandingQueryRuntime:
         partition order (exactly the relation a fresh ``load_sensor_data``
         of the same stream would have produced), registers it on a scratch
         database, and runs the standing query end to end under the same
-        engine mode.  Every refresh result must be byte-identical to this.
+        engine configuration.  Every refresh result must be byte-identical
+        to this.
         """
         table = handle.tree.table
         chunks = []
@@ -721,5 +711,5 @@ class StandingQueryRuntime:
         full = union_partials(chunks, name=table)
         scratch = Database(name="standing-oracle")
         scratch.register(table, full)
-        with self._lock, self._engine():
-            return scratch.query(handle.query)
+        with self._lock:
+            return scratch.query(handle.query, self.config)

@@ -21,12 +21,12 @@ import pytest
 
 from tests.conftest import PAPER_R_CODE, PAPER_SQL, make_sensor_relation
 
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database
-from repro.engine.executor import execution_mode
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation, RowView, concat
 from repro.engine.types import DataType
-from repro.engine.vectorized import stats, vectorized_scans
+from repro.engine.vectorized import stats
 from repro.fragment.topology import Topology
 from repro.policy.presets import figure4_policy
 from repro.processor.paradise import ParadiseProcessor
@@ -151,11 +151,18 @@ def test_register_rereg_same_shape_keeps_results_fresh():
 # ---------------------------------------------------------------------------
 
 
-def _pipeline_processor(rows: int = 240) -> ParadiseProcessor:
+ROW_PATH = EngineConfig(vectorized=False)
+ORACLE = EngineConfig(mode="interpreted")
+
+
+def _pipeline_processor(rows: int = 240, **engine) -> ParadiseProcessor:
+    """A tree-topology processor; ``engine`` holds its ``engine_mode`` /
+    ``vectorized`` keywords."""
     processor = ParadiseProcessor(
         figure4_policy(),
         schema=INTEGRATED_SCHEMA,
         topology=Topology.smart_home_tree(n_sensors=4, sensors_per_appliance=2),
+        **engine,
     )
     processor.load_data(make_sensor_relation(rows=rows))
     return processor
@@ -168,20 +175,18 @@ def _materialize(result):
 
 @pytest.mark.parametrize("use_r", [False, True], ids=["fig2_sql", "usecase_r"])
 def test_pipeline_identical_across_modes_and_scan_paths(use_r):
-    processor = _pipeline_processor()
-
     def run(mode: str, vectorize: bool):
-        with execution_mode(mode), vectorized_scans(vectorize):
-            if use_r:
-                return processor.process_r(PAPER_R_CODE, "ActionFilter")
-            return processor.process(PAPER_SQL, "ActionFilter")
+        processor = _pipeline_processor(engine_mode=mode, vectorized=vectorize)
+        if use_r:
+            return processor.process_r(PAPER_R_CODE, "ActionFilter")
+        return processor.process(PAPER_SQL, "ActionFilter")
 
     reference = _materialize(run("interpreted", False))
     for mode, vectorize in (("interpreted", True), ("compiled", False), ("compiled", True)):
         assert _materialize(run(mode, vectorize)) == reference, (mode, vectorize)
 
 
-def test_vectorized_scans_engage_on_pipeline_fragments():
+def test_vectorized_paths_engage_on_pipeline_fragments():
     processor = _pipeline_processor()
     stats.reset()
     processor.process(PAPER_SQL, "ActionFilter")
@@ -189,7 +194,6 @@ def test_vectorized_scans_engage_on_pipeline_fragments():
 
 
 def test_groupby_workload_identical_and_vectorized():
-    processor = _pipeline_processor()
     sql = (
         "SELECT activity, COUNT(*) AS n, AVG(z) AS az, MIN(t) AS mn, MAX(t) AS mx "
         "FROM d WHERE valid = TRUE GROUP BY activity"
@@ -197,8 +201,8 @@ def test_groupby_workload_identical_and_vectorized():
     options = {"apply_rewriting": False, "anonymize": False}
 
     def run(mode: str, vectorize: bool):
-        with execution_mode(mode), vectorized_scans(vectorize):
-            return processor.process(sql, "ActionFilter", **options)
+        processor = _pipeline_processor(engine_mode=mode, vectorized=vectorize)
+        return processor.process(sql, "ActionFilter", **options)
 
     stats.reset()
     reference = _materialize(run("interpreted", False))
@@ -235,12 +239,10 @@ def test_scan_errors_match_row_path_identically():
         return database.query(sql)
 
     def row_path():
-        with vectorized_scans(False):
-            return database.query(sql)
+        return database.query(sql, ROW_PATH)
 
     def oracle():
-        with execution_mode("interpreted"):
-            return database.query(sql)
+        return database.query(sql, ORACLE)
 
     assert error_of(compiled) == error_of(row_path) == error_of(oracle)
     assert error_of(compiled) == (ExecutionError, "Cannot compare list and int")
@@ -277,8 +279,7 @@ def test_aggregate_scan_errors_match_row_path_identically():
         return database.query(sql)
 
     def row_path():
-        with vectorized_scans(False):
-            return database.query(sql)
+        return database.query(sql, ROW_PATH)
 
     assert error_of(compiled) == error_of(row_path)
     assert error_of(compiled) is not None
@@ -294,8 +295,7 @@ def test_zero_argument_aggregates_match_row_path():
         "SELECT k, COUNT() AS n, MIN() AS m FROM d GROUP BY k",
     ):
         fast = database.query(sql).to_dicts()
-        with vectorized_scans(False):
-            slow = database.query(sql).to_dicts()
+        slow = database.query(sql, ROW_PATH).to_dicts()
         assert fast == slow, sql
 
 
@@ -307,14 +307,15 @@ def test_estimated_bytes_tolerates_exotic_tuples():
 
 @pytest.mark.concurrency
 def test_parallel_runs_identical_across_scan_paths():
-    processor = _pipeline_processor()
     sql = "SELECT activity, COUNT(*) AS n, AVG(z) AS az FROM d GROUP BY activity"
     options = {"apply_rewriting": False, "anonymize": False}
-    with vectorized_scans(False):
-        serial = processor.process(sql, "ActionFilter", execution="serial", **options)
+    serial = _pipeline_processor(vectorized=False).process(
+        sql, "ActionFilter", execution="serial", **options
+    )
     for vectorize in (False, True):
-        with vectorized_scans(vectorize):
-            parallel = processor.process(sql, "ActionFilter", execution="parallel", **options)
+        parallel = _pipeline_processor(vectorized=vectorize).process(
+            sql, "ActionFilter", execution="parallel", **options
+        )
         assert parallel.result.schema.names == serial.result.schema.names
         assert parallel.result.rows == serial.result.rows, vectorize
 

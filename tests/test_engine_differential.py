@@ -1,8 +1,9 @@
 """Differential tests: the compiled path against the interpreted oracle.
 
 Every query of the corpus is executed twice over the same catalog — once with
-``use_compiled=True`` (closures, hash joins, single-pass GROUP BY) and once
-with ``use_compiled=False`` (the original per-row tree walk).  The resulting
+``EngineConfig(mode="compiled")`` (closures, hash joins, single-pass GROUP BY)
+and once with ``EngineConfig(mode="interpreted")`` (the original per-row tree
+walk).  The resulting
 relations must be identical: same column names in the same order, same rows
 in the same order, same values (bit-for-bit for floats, since both paths
 perform the same arithmetic in the same order).
@@ -13,11 +14,15 @@ auditability argument still rests on the simple interpreted semantics.
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
-from repro.engine.executor import QueryExecutor, execution_mode, default_execution_mode
+from repro.engine.config import EngineConfig
+from repro.engine.database import Database
+from repro.engine.executor import QueryExecutor
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
 from repro.engine.types import DataType
@@ -190,9 +195,13 @@ def _materialize(relation: Relation):
     return names, [tuple(row.get(name) for name in names) for row in relation.rows]
 
 
+COMPILED = EngineConfig(mode="compiled")
+INTERPRETED = EngineConfig(mode="interpreted")
+
+
 def assert_paths_agree(catalog, sql: str) -> None:
-    compiled = QueryExecutor(catalog, use_compiled=True).execute(parse(sql))
-    interpreted = QueryExecutor(catalog, use_compiled=False).execute(parse(sql))
+    compiled = QueryExecutor(catalog, COMPILED).execute(parse(sql))
+    interpreted = QueryExecutor(catalog, INTERPRETED).execute(parse(sql))
     compiled_names, compiled_rows = _materialize(compiled)
     interpreted_names, interpreted_rows = _materialize(interpreted)
     assert compiled_names == interpreted_names, sql
@@ -206,7 +215,7 @@ def test_compiled_matches_interpreted(catalog, sql):
 
 def test_corpus_covers_interesting_results(catalog):
     """Guard against a silently trivial corpus: spot-check a few cardinalities."""
-    executor = QueryExecutor(catalog, use_compiled=True)
+    executor = QueryExecutor(catalog, COMPILED)
     join = executor.execute(
         parse("SELECT r.id FROM readings AS r JOIN rooms ON r.room_id = rooms.room_id")
     )
@@ -217,20 +226,47 @@ def test_corpus_covers_interesting_results(catalog):
     assert sum(row["n"] for row in grouped) == len(catalog["readings"])
 
 
-def test_execution_mode_switch(catalog):
-    assert default_execution_mode() == "compiled"
-    with execution_mode("interpreted"):
-        assert default_execution_mode() == "interpreted"
-        assert not QueryExecutor(catalog).use_compiled
-    assert default_execution_mode() == "compiled"
-    assert QueryExecutor(catalog).use_compiled
+def test_engine_config_selects_mode(catalog):
+    """The mode is the config passed in: no default drifts, one executor
+    per config on a database, and both answer identically."""
+    assert QueryExecutor(catalog).config == EngineConfig() == COMPILED
+    assert QueryExecutor(catalog, INTERPRETED).config.mode == "interpreted"
+    database = Database()
+    for name, relation in catalog.items():
+        database.register(name, relation)
+    sql = "SELECT person_id, COUNT(*) AS n FROM readings GROUP BY person_id"
+    interpreted = database.query(sql, INTERPRETED)
+    compiled = database.query(sql)
+    assert _materialize(interpreted) == _materialize(compiled)
+    assert set(database._executors) == {COMPILED, INTERPRETED}
+    assert database._executors[INTERPRETED].config is INTERPRETED
+
+
+def test_dropped_executors_free_without_the_cycle_collector(catalog):
+    """Invalidated executors (and the relations their catalogs hold) are
+    freed by reference counting alone, not whenever the cyclic collector
+    runs."""
+    database = Database()
+    for name, relation in catalog.items():
+        database.register(name, relation)
+    sql = (
+        "SELECT person_id, COUNT(*) AS n FROM readings "
+        "WHERE x > (SELECT AVG(x) FROM readings) GROUP BY person_id"
+    )
+    gc.disable()
+    try:
+        for config in (COMPILED, INTERPRETED):
+            database.query(sql, config)
+        dropped = [weakref.ref(executor) for executor in database._executors.values()]
+        database.load_rows("extra", [{"a": 1}])  # catalog change drops them
+        assert [ref() for ref in dropped] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_mode_rejects_unknown():
     with pytest.raises(ValueError):
-        from repro.engine.executor import set_default_execution_mode
-
-        set_default_execution_mode("vectorized")
+        EngineConfig(mode="vectorized")
 
 
 @pytest.mark.slow

@@ -20,6 +20,7 @@ import random
 import pytest
 
 from repro.engine.columns import BOOL, TypedColumn, typed_column_from_values
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError
 from repro.engine.executor import QueryExecutor
@@ -28,7 +29,6 @@ from repro.engine.schema import ColumnDef, Schema
 from repro.engine.stats import (
     ColumnStats,
     column_stats,
-    optimizer_mode,
     optimizer_stats,
 )
 from repro.engine.table import Relation
@@ -109,11 +109,20 @@ QUERY_CORPUS = [
 ]
 
 
+def _config(compiled: bool, optimizer: bool) -> EngineConfig:
+    return EngineConfig(
+        mode="compiled" if compiled else "interpreted", optimizer=optimizer
+    )
+
+
+OPTIMIZED = _config(compiled=True, optimizer=True)
+ABLATED = _config(compiled=True, optimizer=False)
+
+
 def _run(route: str, rows: list, sql: str, compiled: bool, optimizer: bool) -> Relation:
     relation = _build_relation(route, rows)
-    executor = QueryExecutor({"d": relation}, use_compiled=compiled)
-    with optimizer_mode(optimizer):
-        return executor.execute(parse(sql))
+    executor = QueryExecutor({"d": relation}, _config(compiled, optimizer))
+    return executor.execute(parse(sql))
 
 
 @pytest.mark.parametrize("sql", QUERY_CORPUS)
@@ -305,15 +314,10 @@ def test_join_build_side_flip_through_sql():
         [{"k": rng.randint(0, 29), "v": i} for i in range(900)], name="t"
     )
     sql = "SELECT s.name, t.v FROM s JOIN t ON s.k = t.k WHERE t.v % 7 = 0"
-    executor = QueryExecutor({"s": small, "t": big}, use_compiled=True)
     before = optimizer_stats.build_side_flips
-    with optimizer_mode(True):
-        optimized = executor.execute(parse(sql))
+    optimized = QueryExecutor({"s": small, "t": big}, OPTIMIZED).execute(parse(sql))
     assert optimizer_stats.build_side_flips > before
-    with optimizer_mode(False):
-        ablated = QueryExecutor({"s": small, "t": big}, use_compiled=True).execute(
-            parse(sql)
-        )
+    ablated = QueryExecutor({"s": small, "t": big}, ABLATED).execute(parse(sql))
     assert optimized.to_dicts() == ablated.to_dicts()
 
 
@@ -322,14 +326,10 @@ def test_tiny_join_prefers_nested_loop():
     small_b = Relation.from_rows([{"k": i, "b": i * 2} for i in range(6)], name="b")
     sql = "SELECT a.a, b.b FROM a JOIN b ON a.k = b.k"
     before = optimizer_stats.nested_loop_joins
-    executor = QueryExecutor({"a": small_a, "b": small_b}, use_compiled=True)
-    with optimizer_mode(True):
-        optimized = executor.execute(parse(sql))
+    catalog = {"a": small_a, "b": small_b}
+    optimized = QueryExecutor(catalog, OPTIMIZED).execute(parse(sql))
     assert optimizer_stats.nested_loop_joins > before
-    with optimizer_mode(False):
-        ablated = QueryExecutor(
-            {"a": small_a, "b": small_b}, use_compiled=True
-        ).execute(parse(sql))
+    ablated = QueryExecutor(catalog, ABLATED).execute(parse(sql))
     assert optimized.to_dicts() == ablated.to_dicts()
 
 
@@ -367,8 +367,9 @@ def test_adaptive_placement_high_cardinality_falls_back():
     network = _FakeNetwork({"leaf": _chunk_database(rows)})
     fragment = _groupby_fragment("SELECT k, COUNT(*) AS n FROM d GROUP BY k")
     before = optimizer_stats.adaptive_fallback
-    with optimizer_mode(True):
-        assert partial_aggregation_pays(network, ["leaf"], fragment, "d") is False
+    assert (
+        partial_aggregation_pays(network, ["leaf"], fragment, "d", OPTIMIZED) is False
+    )
     assert optimizer_stats.adaptive_fallback > before
 
 
@@ -378,8 +379,9 @@ def test_adaptive_placement_low_cardinality_pays():
     network = _FakeNetwork({"leaf": _chunk_database(rows)})
     fragment = _groupby_fragment("SELECT k, COUNT(*) AS n FROM d GROUP BY k")
     before = optimizer_stats.adaptive_partial
-    with optimizer_mode(True):
-        assert partial_aggregation_pays(network, ["leaf"], fragment, "d") is True
+    assert (
+        partial_aggregation_pays(network, ["leaf"], fragment, "d", OPTIMIZED) is True
+    )
     assert optimizer_stats.adaptive_partial > before
 
 
@@ -387,11 +389,10 @@ def test_legacy_ratio_rule_with_optimizer_off():
     rows_high = [{"k": i, "v": float(i)} for i in range(200)]
     rows_low = [{"k": i % 3, "v": float(i)} for i in range(200)]
     fragment = _groupby_fragment("SELECT k, COUNT(*) AS n FROM d GROUP BY k")
-    with optimizer_mode(False):
-        high = _FakeNetwork({"leaf": _chunk_database(rows_high)})
-        assert partial_aggregation_pays(high, ["leaf"], fragment, "d") is False
-        low = _FakeNetwork({"leaf": _chunk_database(rows_low)})
-        assert partial_aggregation_pays(low, ["leaf"], fragment, "d") is True
+    high = _FakeNetwork({"leaf": _chunk_database(rows_high)})
+    assert partial_aggregation_pays(high, ["leaf"], fragment, "d", ABLATED) is False
+    low = _FakeNetwork({"leaf": _chunk_database(rows_low)})
+    assert partial_aggregation_pays(low, ["leaf"], fragment, "d", ABLATED) is True
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +442,6 @@ def test_reordering_preserves_error_identity(compiled):
     relation = Relation.from_rows(rows, name="m")
     sql = "SELECT v FROM m WHERE flag = 1 AND v > 5"
     for optimizer in (False, True):
-        executor = QueryExecutor({"m": relation}, use_compiled=compiled)
-        with optimizer_mode(optimizer):
-            with pytest.raises(ExecutionError):
-                executor.execute(parse(sql))
+        executor = QueryExecutor({"m": relation}, _config(compiled, optimizer))
+        with pytest.raises(ExecutionError):
+            executor.execute(parse(sql))

@@ -9,12 +9,14 @@ relations or aggregate state, enforced by ``Relation.__reduce__``).
 
 from __future__ import annotations
 
+import itertools
 import pickle
 
 import pytest
 
 from tests.test_runtime import RAW_WORKLOADS, build_tree_processor
 
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.table import Relation
 from repro.engine.wire import WireFormatError, pack_relation, unpack_relation
@@ -46,6 +48,9 @@ def procs_processor(**kwargs) -> ParadiseProcessor:
     return build_tree_processor(n_sensors=4, rows=ROWS, **kwargs)
 
 
+COMPILED = EngineConfig()
+
+
 def assert_same_relation(expected, actual):
     assert expected is not None and actual is not None
     assert expected.schema.names == actual.schema.names
@@ -59,33 +64,29 @@ def assert_same_relation(expected, actual):
 
 def test_job_codec_round_trip():
     tables = [("d", b"\x01\x02"), ("lookup", b"")]
-    payload = encode_job("partial", "interpreted", "SELECT 1", tables, b"state")
-    assert decode_job(payload) == (
-        "partial",
-        "interpreted",
-        "SELECT 1",
-        tables,
-        b"state",
-    )
+    for flags in itertools.product(("compiled", "interpreted"), (False, True), (False, True)):
+        config = EngineConfig(*flags)
+        payload = encode_job("partial", config, "SELECT 1", tables, b"state")
+        assert decode_job(payload) == ("partial", config, "SELECT 1", tables, b"state")
 
 
 def test_job_codec_without_state():
-    payload = encode_job("query", "compiled", "SELECT x FROM d", [("d", b"abc")])
-    op, mode, sql, tables, state = decode_job(payload)
-    assert (op, mode, sql) == ("query", "compiled", "SELECT x FROM d")
+    payload = encode_job("query", COMPILED, "SELECT x FROM d", [("d", b"abc")])
+    op, config, sql, tables, state = decode_job(payload)
+    assert (op, config, sql) == ("query", COMPILED, "SELECT x FROM d")
     assert tables == [("d", b"abc")]
     assert state is None
 
 
 def test_job_codec_rejects_unknown_inputs():
     with pytest.raises(ValueError):
-        encode_job("explain", "compiled", "SELECT 1", [])
+        encode_job("explain", COMPILED, "SELECT 1", [])
     with pytest.raises(ValueError):
-        encode_job("query", "jit", "SELECT 1", [])
+        encode_job("query", EngineConfig(mode="jit"), "SELECT 1", [])
 
 
 def test_job_codec_fails_loudly_on_malformed_payloads():
-    payload = encode_job("query", "compiled", "SELECT 1", [("d", b"abc")])
+    payload = encode_job("query", COMPILED, "SELECT 1", [("d", b"abc")])
     with pytest.raises(WireFormatError):
         decode_job(b"NOPE" + payload[4:])
     with pytest.raises(WireFormatError):
@@ -96,6 +97,10 @@ def test_job_codec_fails_loudly_on_malformed_payloads():
     bad_op[4] = 0xFF
     with pytest.raises(WireFormatError):
         decode_job(bytes(bad_op))
+    bad_config = bytearray(payload)
+    bad_config[5] |= 0b1000  # a config bit no EngineConfig field owns
+    with pytest.raises(WireFormatError, match="config byte"):
+        decode_job(bytes(bad_config))
 
 
 def test_referenced_tables_walks_subqueries():
@@ -127,7 +132,7 @@ def test_execute_job_query():
     relation = make_relation()
     payload = encode_job(
         "query",
-        "compiled",
+        COMPILED,
         "SELECT device, value FROM d WHERE value < 10.0",
         [("d", pack_relation(relation))],
     )
@@ -146,17 +151,17 @@ def test_execute_job_partial_combine_finalize_chain():
     expected = database.query(sql)
 
     partial_payload = encode_job(
-        "partial", "compiled", sql, [("d", pack_relation(relation))]
+        "partial", COMPILED, sql, [("d", pack_relation(relation))]
     )
     states = unpack_relation(execute_job(partial_payload))
     assert all(name.startswith("__agg") for name in states.schema.names[1:])
 
     combined = unpack_relation(
-        execute_job(encode_job("combine", "compiled", sql, [], pack_relation(states)))
+        execute_job(encode_job("combine", COMPILED, sql, [], pack_relation(states)))
     )
     final = unpack_relation(
         execute_job(
-            encode_job("finalize", "compiled", sql, [], pack_relation(combined))
+            encode_job("finalize", COMPILED, sql, [], pack_relation(combined))
         )
     )
     assert_same_relation(expected, final)
@@ -186,7 +191,7 @@ def test_dispatcher_ships_bytes_not_objects():
     dispatcher = ProcessDispatcher(workers=1)
     relation = make_relation()
     query = parse("SELECT device, SUM(value) AS total FROM d GROUP BY device")
-    output = dispatcher.run("query", "compiled", query, [("d", relation)])
+    output = dispatcher.run("query", COMPILED, query, [("d", relation)])
     database = Database()
     database.register("d", relation)
     assert_same_relation(database.query(query), output)
