@@ -46,7 +46,7 @@ from repro.policy.presets import figure4_policy  # noqa: E402
 from repro.processor.paradise import ParadiseProcessor  # noqa: E402
 
 #: Decomposable aggregation: every aggregate splits into per-sensor partial
-#: states, so the 4 leaf PartialAggregateTasks carry the compute and can
+#: states, so the 4 leaf partial tasks carry the compute and can
 #: genuinely overlap across processes.
 MULTICORE_SQL = (
     "SELECT x, COUNT(*) AS n, AVG(y) AS avg_y, STDDEV(y) AS sd_y, "

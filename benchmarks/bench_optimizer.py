@@ -1,6 +1,6 @@
 """Experiment CO — statistics-driven cost-based optimization.
 
-Measures the three plan choices the optimizer makes from maintained column
+Measures two plan choices the optimizer makes from maintained column
 statistics, each against the ``optimizer=False`` ablation (today's purely
 syntactic choices).  Results are differential-checked in-loop: every
 workload must return byte-identical relations with the optimizer on and
@@ -13,10 +13,6 @@ off — the optimizer moves work, never answers.
 * **build_side_join** — a small relation joined against a large one.  The
   syntactic plan always hashes the right (large) side; the cost-based plan
   builds over the smaller estimated side and probes with the big one.
-* **adaptive_groupby** — a high-cardinality GROUP BY through the parallel
-  runtime: the adaptive placement rule estimates state bytes per leaf from
-  distinct-key stats and observed packed state sizes instead of the fixed
-  0.75 distinct-share ratio.
 
 ``python benchmarks/bench_optimizer.py`` runs standalone;
 ``benchmarks/run_all.py`` embeds the result as the ``optimizer`` section
@@ -109,8 +105,6 @@ JOIN_SQL = (
     "WHERE d.value > 99.5"
 )
 
-GROUPBY_SQL = "SELECT person_id, t, COUNT(*) AS n FROM d GROUP BY person_id, t"
-
 
 def _differential(database: Database, sql: str) -> bool:
     optimized = database.query(sql, OPTIMIZED)
@@ -157,74 +151,18 @@ def measure_build_side_join(small: int, large: int, repeats: int = 3) -> Dict[st
     }
 
 
-def measure_adaptive_groupby(rows: int, repeats: int = 3) -> Dict[str, Any]:
-    """High-cardinality GROUP BY through the parallel runtime."""
-    from benchmarks.common import build_processor
-    from repro.fragment.topology import Topology
-
-    results: Dict[bool, Any] = {}
-    medians: Dict[bool, float] = {}
-    decisions: Dict[str, int] = {}
-    for enabled in (True, False):
-        # A real sensor tree: partial aggregation needs partitioned leaves
-        # for the placement decision to exist at all.
-        processor = build_processor(
-            rows,
-            execution="parallel",
-            optimizer=enabled,
-            topology=Topology.smart_home_tree(n_sensors=8, sensors_per_appliance=4),
-        )
-        before = (
-            optimizer_stats.adaptive_partial,
-            optimizer_stats.adaptive_fallback,
-        )
-
-        def run() -> None:
-            results[enabled] = processor.process(
-                GROUPBY_SQL, "ActionFilter", apply_rewriting=False, anonymize=False
-            ).result
-
-        medians[enabled] = _median_seconds(run, repeats)
-        if enabled:
-            decisions = {
-                "adaptive_partial": optimizer_stats.adaptive_partial - before[0],
-                "adaptive_fallback": optimizer_stats.adaptive_fallback - before[1],
-            }
-    identical = (
-        results[True].schema.names == results[False].schema.names
-        and results[True].to_dicts() == results[False].to_dicts()
-    )
-    return {
-        "sql": GROUPBY_SQL,
-        "rows": rows,
-        "identical_to_ablation": identical,
-        "decisions": decisions,
-        "median_s": {
-            "optimizer": round(medians[True], 6),
-            "ablation": round(medians[False], 6),
-        },
-        "speedup_median": round(medians[False] / medians[True], 3)
-        if medians[True]
-        else None,
-    }
-
-
 def run_optimizer(rows: int = 100_000, repeats: int = 3) -> Dict[str, Any]:
     """The ``optimizer`` section of ``BENCH_engine.json``."""
     section: Dict[str, Any] = {
         "baseline_note": "ablation = EngineConfig(optimizer=False): purely syntactic "
-        "plan choices (written conjunct order, right-side hash build, fixed "
-        "0.75 partial-aggregation ratio); every workload is differential-"
-        "checked against it in-loop",
+        "plan choices (written conjunct order, right-side hash build); every "
+        "workload is differential-checked against it in-loop",
         "skewed_conjuncts": measure_skewed_conjuncts(rows, repeats=repeats),
         "build_side_join": measure_build_side_join(
             200, max(rows // 2, 1000), repeats=repeats
         ),
-        "adaptive_groupby": measure_adaptive_groupby(
-            min(rows // 10, 10_000), repeats=repeats
-        ),
     }
-    for name in ("skewed_conjuncts", "build_side_join", "adaptive_groupby"):
+    for name in ("skewed_conjuncts", "build_side_join"):
         workload = section[name]
         print(
             f"optimizer {name}: ablation "
@@ -264,8 +202,6 @@ def test_optimizer_bench_full_size():
     join = section["build_side_join"]
     assert join["identical_to_ablation"]
     assert join["flipped_to_left_build"]
-    grouped = section["adaptive_groupby"]
-    assert grouped["identical_to_ablation"]
 
 
 def main(argv: Optional[List[str]] = None) -> int:

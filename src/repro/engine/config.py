@@ -31,9 +31,8 @@ class EngineConfig:
     path (:mod:`repro.engine.vectorized`); ``False`` is the row-at-a-time
     ablation.
     ``optimizer``: statistics-driven plan choices — conjunct order, join
-    build side and nested-loop joins, widened vectorized predicates and
-    the adaptive partial-aggregation rule; ``False`` restores the purely
-    syntactic choices.
+    build side and nested-loop joins, widened vectorized predicates;
+    ``False`` restores the purely syntactic choices.
     """
 
     mode: str = "compiled"

@@ -29,9 +29,7 @@ import sys
 from array import array
 from datetime import datetime
 from fractions import Fraction
-from typing import Any, Optional, Tuple
-
-import threading
+from typing import Any, Tuple
 
 from repro.engine.columns import BOOL, FLOAT64, INT64, TypedColumn
 
@@ -340,68 +338,3 @@ def pack_state_relation(relation: "Any") -> bytes:
 def unpack_state_relation(data: bytes) -> "Any":
     """Decode a payload from :func:`pack_state_relation` into a Relation."""
     return unpack_relation(data)
-
-
-# ---------------------------------------------------------------------------
-# observed state-size feedback for the adaptive partial-aggregation decision
-# ---------------------------------------------------------------------------
-
-
-class StateSizeFeedback:
-    """Running average of observed packed partial-state cell sizes.
-
-    Every executed leaf partial aggregation reports its state output's
-    ``(rows, packed bytes, cells)``; the DAG builder's adaptive
-    ``partial_aggregation_pays`` decision multiplies its estimated group
-    count by this query's state width (keys + aggregate states) and
-    :meth:`bytes_per_cell` to predict what the state shipment would cost
-    before building the plan.  Normalizing per *cell* rather than per row
-    keeps the average transferable across query shapes — a five-column
-    STDDEV state must not inflate the estimate for a two-column COUNT
-    state.  Before any observation the default reflects a typical packed
-    state cell (a key scalar or an accumulator tuple).
-    """
-
-    #: Assumed packed bytes per state cell before any feedback arrives.
-    #: Exact accumulator tuples (Shewchuk expansions, rational moments)
-    #: average tens of bytes packed; observed fleet-wide averages sit
-    #: around 60–90, so the cold-start guess leans high — underestimating
-    #: state size is the costly direction (it picks partials on
-    #: groups~rows chunks where the global merge wins).
-    DEFAULT_BYTES_PER_CELL = 64.0
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._rows = 0
-        self._cells = 0
-        self._bytes = 0
-
-    def record(self, rows: int, nbytes: int, cells: Optional[int] = None) -> None:
-        """Fold one observed state relation into the running average."""
-        if rows <= 0:
-            return
-        with self._lock:
-            self._rows += rows
-            self._cells += cells if cells and cells > 0 else rows
-            self._bytes += nbytes
-
-    def bytes_per_cell(self) -> float:
-        with self._lock:
-            if self._cells == 0:
-                return self.DEFAULT_BYTES_PER_CELL
-            return self._bytes / self._cells
-
-    @property
-    def observed_rows(self) -> int:
-        with self._lock:
-            return self._rows
-
-    def reset(self) -> None:
-        with self._lock:
-            self._rows = 0
-            self._cells = 0
-            self._bytes = 0
-
-
-#: Process-wide feedback singleton (thread-safe; workers all report here).
-state_size_feedback = StateSizeFeedback()

@@ -139,6 +139,10 @@ class VerticalFragmenter:
     def _split_innermost(self, stage: ast.SelectQuery) -> List[QueryFragment]:
         assert isinstance(stage.from_clause, ast.TableRef)
         base_name = stage.from_clause.name
+        if _subquery_reads_table(stage):
+            # The split stages would hand the subquery a filtered copy
+            # renamed away from the table it reads: run the stage whole.
+            return [self._whole_stage_fragment(stage, index=1, input_name=base_name)]
         fragments: List[QueryFragment] = []
 
         constant_terms, attribute_terms = self._split_where(stage.where)
@@ -358,3 +362,14 @@ def _walk_from(query: ast.Query):
             stack.extend([node.left, node.right])
         elif isinstance(node, ast.TableRef):
             yield node
+
+
+def _subquery_reads_table(stage: ast.SelectQuery) -> bool:
+    """True when a subquery inside ``stage`` references a table."""
+    stack: List[ast.Node] = [stage]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.TableRef) and node is not stage.from_clause:
+            return True
+        stack.extend(child for child in node.children() if child is not None)
+    return False

@@ -331,7 +331,7 @@ def build_profile_report(
                 continue
             if key.startswith("engine.optimizer."):
                 # Cost-based plan decisions taken this run (conjunct
-                # reorders, build-side flips, adaptive placement, ...).
+                # reorders, build-side flips, placement outcomes, ...).
                 scan_paths[
                     "optimizer." + key[len("engine.optimizer.") :]
                 ] = diff

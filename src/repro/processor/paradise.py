@@ -66,6 +66,15 @@ _EXECUTION_MODES = ("serial", "parallel")
 _WORKER_BACKENDS = ("threads", "processes")
 
 
+def _execution_mode(strategy: str) -> str:
+    """``strategy`` when it names an execution mode, else ``ValueError``."""
+    if strategy not in _EXECUTION_MODES:
+        raise ValueError(
+            f"Unknown execution mode: {strategy!r} (expected one of {_EXECUTION_MODES})"
+        )
+    return strategy
+
+
 class ParadiseProcessor:
     """End-to-end privacy-aware query processing over a simulated environment."""
 
@@ -89,10 +98,7 @@ class ParadiseProcessor:
         workers: str = "threads",
         process_workers: int = 2,
     ) -> None:
-        if execution not in _EXECUTION_MODES:
-            raise ValueError(
-                f"Unknown execution mode: {execution!r} (expected one of {_EXECUTION_MODES})"
-            )
+        _execution_mode(execution)
         if workers not in _WORKER_BACKENDS:
             raise ValueError(
                 f"Unknown worker backend: {workers!r} (expected one of {_WORKER_BACKENDS})"
@@ -123,9 +129,9 @@ class ParadiseProcessor:
         #: ``vectorized``: the columnar scan fast paths.  ``optimizer``:
         #: statistics-driven cost-based optimization — selectivity-ordered
         #: conjuncts, vectorized OR/ORDER BY/DISTINCT scans, join build-side
-        #: and nested-loop choices, and the adaptive partial-aggregation
-        #: ratio.  ``vectorized=False`` / ``optimizer=False`` are benchmark
-        #: ablation knobs; results are byte-identical either way.
+        #: and nested-loop choices.  ``vectorized=False`` /
+        #: ``optimizer=False`` are benchmark ablation knobs; results are
+        #: byte-identical either way.
         self.config = EngineConfig(
             mode=engine_mode,
             vectorized=bool(vectorized),
@@ -242,11 +248,7 @@ class ParadiseProcessor:
                 build an EXPLAIN-ANALYZE-style profile report for this run;
                 ``None`` uses the processor's ``profile`` default.
         """
-        strategy = execution or self.execution
-        if strategy not in _EXECUTION_MODES:
-            raise ValueError(
-                f"Unknown execution mode: {strategy!r} (expected one of {_EXECUTION_MODES})"
-            )
+        strategy = _execution_mode(execution or self.execution)
         if on_data_loss not in (None, "fail", "partial"):
             raise ValueError(
                 f"Unknown data-loss policy: {on_data_loss!r} "
@@ -258,50 +260,19 @@ class ParadiseProcessor:
         trace = QueryTrace(query_id=module_id) if profiling else None
         metrics_before = _metrics.snapshot() if profiling else None
         started = time.perf_counter()
-        parsed = parse(query) if isinstance(query, str) else query
-        raw_rows = self._raw_input_rows()
-
-        result = ProcessingResult(module_id=module_id, admitted=True, raw_input_rows=raw_rows)
         if strategy == "serial":
             # The serial oracle keeps the seed's shared-log semantics; the
             # parallel path records into a per-run log instead (it may run
             # concurrently with other sessions on the same simulator).
             self.network.reset_log()
 
-        # 1. admission + 2. rewriting
-        working_query = parsed
-        if apply_rewriting:
-            sensor_node = self.topology.nodes[0]
-            admission = self.analyzer.admit(
-                parsed,
-                module_id,
-                estimated_rows=raw_rows,
-                capacity=NodeCapacity(
-                    cpu_power=sensor_node.cpu_power or 1.0,
-                    free_memory_mb=self.topology.cloud.free_memory_mb,
-                ),
-                enforce_interval=self.enforce_query_interval,
-            )
-            result.admission = admission
-            if not admission.admitted:
-                result.admitted = False
-                result.elapsed_seconds = time.perf_counter() - started
-                return result
-            rewrite = self.rewriter.rewrite(parsed, module_id)
-            result.rewrite = rewrite
-            if not rewrite.compliant:
-                result.admitted = False
-                result.elapsed_seconds = time.perf_counter() - started
-                return result
-            working_query = rewrite.query
-
-        # 3. fragmentation
-        if pushdown:
-            plan = self.fragmenter.fragment(working_query)
-        else:
-            plan = self.fragmenter.cloud_only_plan(working_query)
-        result.plan = plan
-
+        # 1. admission + 2. rewriting + 3. fragmentation
+        raw_rows = self._raw_input_rows()
+        result = self._plan(query, module_id, pushdown, apply_rewriting, raw_rows)
+        plan = result.plan
+        if plan is None:
+            result.elapsed_seconds = time.perf_counter() - started
+            return result
         if trace is not None:
             self._annotate_estimates(plan, raw_rows)
 
@@ -358,46 +329,27 @@ class ParadiseProcessor:
         human-readable plan: which fragment lands on which node, and how
         the parallel runtime would decompose it into tasks.
         """
-        strategy = execution or self.execution
-        if strategy not in _EXECUTION_MODES:
-            raise ValueError(
-                f"Unknown execution mode: {strategy!r} (expected one of {_EXECUTION_MODES})"
-            )
-        parsed = parse(query) if isinstance(query, str) else query
+        strategy = _execution_mode(execution or self.execution)
+        raw_rows = self._raw_input_rows()
+        planned = self._plan(query, module_id, pushdown, apply_rewriting, raw_rows)
         lines = [f"EXPLAIN (module {module_id!r}, execution={strategy})"]
-        working_query = parsed
-        if apply_rewriting:
-            sensor_node = self.topology.nodes[0]
-            admission = self.analyzer.admit(
-                parsed,
-                module_id,
-                estimated_rows=self._raw_input_rows(),
-                capacity=NodeCapacity(
-                    cpu_power=sensor_node.cpu_power or 1.0,
-                    free_memory_mb=self.topology.cloud.free_memory_mb,
-                ),
-                enforce_interval=self.enforce_query_interval,
-            )
+        admission, rewrite = planned.admission, planned.rewrite
+        if admission is not None:
             if not admission.admitted:
                 lines.append("admission: REJECTED")
                 for reason in admission.reasons:
                     lines.append(f"  - {reason}")
                 return "\n".join(lines)
             lines.append("admission: ok")
-            rewrite = self.rewriter.rewrite(parsed, module_id)
+        if rewrite is not None:
             if not rewrite.compliant:
                 lines.append("rewriting: NOT COMPLIANT")
                 if rewrite.report.rejection_reason:
                     lines.append(f"  - {rewrite.report.rejection_reason}")
                 return "\n".join(lines)
             lines.append(f"rewritten: {rewrite.sql}")
-            working_query = rewrite.query
-
-        if pushdown:
-            plan = self.fragmenter.fragment(working_query)
-        else:
-            plan = self.fragmenter.cloud_only_plan(working_query)
-        self._annotate_estimates(plan, self._raw_input_rows())
+        plan = planned.plan
+        self._annotate_estimates(plan, raw_rows)
         lines.append("")
         lines.append(plan.pretty())
 
@@ -409,7 +361,6 @@ class ParadiseProcessor:
                 anonymize=anonymize,
                 namespace=namespace,
                 partial_aggregation=self.partial_aggregation,
-                config=self.config,
             )
             lines.append("")
             lines.append(
@@ -423,6 +374,52 @@ class ParadiseProcessor:
                     f"@ {task.node}{deps}"
                 )
         return "\n".join(lines)
+
+    # ------------------------------------------------------------------
+    # planning (shared by process and explain)
+    # ------------------------------------------------------------------
+    def _plan(
+        self,
+        query: Union[str, ast.Query],
+        module_id: str,
+        pushdown: bool,
+        apply_rewriting: bool,
+        raw_rows: int,
+    ) -> ProcessingResult:
+        """Steps 1-3: admission, rewriting and vertical fragmentation.
+
+        Returns a result carrying the admission decision, the rewrite and
+        the fragment plan.  When the policy rejects the query, ``admitted``
+        is ``False`` and ``plan`` stays ``None``.
+        """
+        parsed = parse(query) if isinstance(query, str) else query
+        result = ProcessingResult(module_id=module_id, admitted=True, raw_input_rows=raw_rows)
+        working_query = parsed
+        if apply_rewriting:
+            sensor_node = self.topology.nodes[0]
+            result.admission = self.analyzer.admit(
+                parsed,
+                module_id,
+                estimated_rows=raw_rows,
+                capacity=NodeCapacity(
+                    cpu_power=sensor_node.cpu_power or 1.0,
+                    free_memory_mb=self.topology.cloud.free_memory_mb,
+                ),
+                enforce_interval=self.enforce_query_interval,
+            )
+            if not result.admission.admitted:
+                result.admitted = False
+                return result
+            result.rewrite = self.rewriter.rewrite(parsed, module_id)
+            if not result.rewrite.compliant:
+                result.admitted = False
+                return result
+            working_query = result.rewrite.query
+        if pushdown:
+            result.plan = self.fragmenter.fragment(working_query)
+        else:
+            result.plan = self.fragmenter.cloud_only_plan(working_query)
+        return result
 
     # ------------------------------------------------------------------
     # plan execution (serial oracle)
@@ -503,6 +500,12 @@ class ParadiseProcessor:
 
         for fragment in fragments:
             target_node = fragment.assigned_node or self.topology.cloud.name
+            if current_relation is None and target_node != current_node:
+                # A first fragment placed above the sensor (a whole stage)
+                # reads the sensor's table where it runs.
+                resident = self.network.database(current_node)
+                if fragment.input_name in resident:
+                    current_relation = resident.table(fragment.input_name)
             # Ship the previous intermediate result to the node that needs it.
             if current_relation is not None:
                 self.network.ship(
@@ -732,7 +735,6 @@ class ParadiseProcessor:
                 anonymize=anonymize,
                 namespace=namespace,
                 partial_aggregation=self.partial_aggregation,
-                config=self.config,
             )
             try:
                 report = self.scheduler.run(

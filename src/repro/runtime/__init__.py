@@ -70,7 +70,7 @@ from repro.runtime.dag import (
     ExecutionContext,
     ExecutionDag,
     FinalizeAggregationTask,
-    PartialAggregateTask,
+    FragmentTask,
     build_execution_dag,
     last_inside_node,
     lift_node_groups,
@@ -114,11 +114,11 @@ __all__ = [
     "Fault",
     "FaultError",
     "FinalizeAggregationTask",
+    "FragmentTask",
     "InjectedTaskError",
     "LinkDown",
     "LostPartition",
     "NodeDeath",
-    "PartialAggregateTask",
     "QueryRequest",
     "RetryPolicy",
     "Scheduler",

@@ -13,18 +13,29 @@ a dependency graph of :class:`Task` objects the
   common parent, which then applies the fragment to its group — appliances
   keep working on their own sensors' data, exactly the placement of Figure 3.
 * GROUP BY fragments whose aggregates all decompose
-  (``QueryFragment.decomposable``) never force a global merge: every
+  (``QueryFragment.decomposable``) avoid the global merge: every
   partition runs the fragment in *partial* mode where it lives (emitting
   mergeable aggregate states, see :mod:`repro.engine.aggregates`), sibling
   states *combine* at their common parent one tree level at a time, and the
   fragment *finalizes* (HAVING, select items, ORDER BY) at its assigned
   node.  Distributive fragments leading up to such an aggregation run in
   place on their partitions instead of lifting, so only group states — a
-  few rows per node — ever cross a hop.
+  few rows per node — ever cross a hop.  One rule,
+  :func:`partial_aggregation_pays`, keeps the global merge instead when a
+  leaf chunk's distinct group-key share (from its column statistics)
+  reaches :data:`GROUP_FALLBACK_RATIO`: such states would not shrink the
+  shipment.
 * The first non-distributive fragment that cannot be decomposed (windows,
   ordering, DISTINCT aggregates, MEDIAN, ...) forces a global merge at its
-  assigned node; from there the plan chains serially.
+  assigned node; from there the plan chains serially.  A bottom fragment
+  that needs the whole base relation on another node (a set operation, a
+  join or a subquery, placed above the sensor) receives the gathered raw
+  chunks there.
 * Anonymization and the cloud remainder become the final tasks of the DAG.
+
+Each placement has one builder helper: run in place on every partition,
+merge partitions at a node and run there, or combine partial states up
+the tree and finalize.
 
 Chunks are contiguous slices of the original relation in leaf order, and
 merge tasks concatenate partials in exactly that order, so the DAG's result
@@ -40,7 +51,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.columns import copy_column, extend_column
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
@@ -60,82 +71,41 @@ from repro.sql.visitor import clone
 
 
 #: Cardinality fallback for the partial-aggregation protocol: when a leaf
-#: chunk's observed group count reaches this share of its row count, state
-#: rows would be nearly as numerous as raw rows (and individually larger),
-#: so the DAG falls back to the global-merge path for that fragment.
+#: chunk's distinct group-key count reaches this share of its row count,
+#: state rows would be nearly as numerous as raw rows (and individually
+#: larger), so the DAG falls back to the global-merge path for that fragment.
 GROUP_FALLBACK_RATIO = 0.75
 
 #: Chunks below this row count skip the fallback check: either way only a
 #: handful of rows cross the hop, and tiny chunks make the ratio noisy.
 GROUP_FALLBACK_MIN_ROWS = 16
 
-#: At most this many leading rows of a chunk are observed per DAG build.
-#: The observation is planner-side statistics gathering (no data leaves the
-#: node, so the cost model rightly never charges a transfer), but it runs
-#: serially on the coordinator per query admission — the prefix cap keeps it
-#: O(1) per chunk regardless of chunk size.
-GROUP_FALLBACK_SAMPLE_ROWS = 512
-
-
-def _aggregate_call_count(query: ast.SelectQuery) -> int:
-    """Number of aggregate calls in the query — its partial state width
-    (one packed state column per call) minus the group keys."""
-    count = 0
-    sources: List[ast.Node] = [item.expression for item in query.items]
-    if query.having is not None:
-        sources.append(query.having)
-    sources.extend(item.expression for item in query.order_by)
-    stack = sources
-    while stack:
-        node = stack.pop()
-        if node is None:
-            continue
-        if isinstance(node, ast.FunctionCall) and ast.is_aggregate_function(node.name):
-            count += 1
-            continue  # nested aggregates are not decomposable anyway
-        stack.extend(child for child in node.children() if child is not None)
-    return count
-
 
 def partial_aggregation_pays(
     network: NetworkSimulator,
     holders: Sequence[str],
     fragment: QueryFragment,
-    observe_table: str,
-    config: EngineConfig = DEFAULT_CONFIG,
+    table: str,
 ) -> bool:
-    """Cardinality heuristic: is leaf-level partial aggregation worthwhile?
+    """Cardinality rule: is leaf-level partial aggregation worthwhile?
 
-    Observes the distinct group-key count over a bounded prefix of every
-    leaf chunk of ``observe_table`` (at most
-    :data:`GROUP_FALLBACK_SAMPLE_ROWS` rows, straight off the key column
-    arrays).  When some chunk's observed group count approaches the
-    observed row count (:data:`GROUP_FALLBACK_RATIO`), partial states
+    For every leaf chunk of ``table``, the distinct group-key count comes
+    from the chunk's maintained column statistics (the product of the
+    per-key distinct counts, capped at the row count).  When some chunk's
+    distinct share reaches :data:`GROUP_FALLBACK_RATIO`, partial states
     would not shrink the shipment — each state row is bigger than the raw
-    row it summarizes — so the builder should fall back to the
-    global-merge path.
+    row it summarizes — so the builder falls back to the global-merge path.
+    Below it, sibling states keep merging at every tree level while raw
+    rows would only concatenate, so partial aggregation pays.
 
     Global aggregations (no GROUP BY) always pay: they ship one state row.
     Chunks that do not expose the key columns (a preceding fragment renames
-    or derives them) cannot be observed and are assumed worthwhile.
-
-    With the cost-based optimizer enabled (``config.optimizer``), the
-    sampled-prefix observation is replaced by per-leaf distinct-key
-    statistics from the chunk's maintained column stats, and the fixed ratio
-    becomes a two-stage rule: below the :data:`GROUP_FALLBACK_RATIO`
-    distinct share partial always pays (sibling states keep merging at every
-    tree level while raw rows concatenate with fan-in); at or above it, a
-    byte-level estimate decides — the query's state width (keys plus one
-    packed state per aggregate call) times the observed packed bytes per
-    state *cell* (fed back by :data:`repro.engine.wire.state_size_feedback`
-    from previously shipped partial states) is compared against the chunk's
-    raw ``estimated_bytes()``, so genuinely small states keep the partial
-    path even at high shares. Both modes decide *placement only* — results
-    are identical either way.
+    or derives them) cannot be observed and are assumed worthwhile.  The
+    decision is placement only — results are identical either way — and
+    each observed chunk counts as ``engine.optimizer.adaptive_partial`` or
+    ``adaptive_fallback``.
     """
     from repro.engine.stats import optimizer_stats
-    from repro.engine.vectorized import freeze_value
-    from repro.engine.wire import state_size_feedback
 
     query = fragment.query
     if not isinstance(query, ast.SelectQuery) or not query.group_by:
@@ -147,69 +117,25 @@ def partial_aggregation_pays(
     ]
     if len(keys) != len(query.group_by):
         return True  # non-column keys are not observable on the base chunks
-    adaptive = config.optimizer
     for holder in holders:
         database = network.database(holder)
-        if observe_table not in database:
+        if table not in database:
             continue
-        chunk = database.table(observe_table)
-        if adaptive:
-            rows = len(chunk)
-            if rows < GROUP_FALLBACK_MIN_ROWS:
-                continue
-            table_stats = chunk.stats()
-            groups = 1
-            observable = True
-            for key in keys:
-                summary = table_stats.column(key)
-                if summary is None:
-                    observable = False
-                    break
-                groups *= max(summary.distinct, 1)
-            if not observable:
-                return True
-            groups = min(groups, rows)
-            # Low distinct share: sibling states keep merging all the way up
-            # the tree while raw rows would concatenate — partial always
-            # pays, whatever a single state row weighs.
-            if groups < GROUP_FALLBACK_RATIO * rows:
-                optimizer_stats.adaptive_partial += 1
-                continue
-            # High share: states barely merge, so the decision comes down to
-            # bytes at the leaf hop.  State width for *this* query (keys +
-            # one state per aggregate call) times the observed packed bytes
-            # per state cell — per-cell feedback transfers across query
-            # shapes where a per-row average would let wide states inflate
-            # narrow ones.  Unlike the fixed-ratio rule, genuinely small
-            # states (few aggregates over wide raw rows) keep the partial
-            # path even at high shares.
-            state_width = len(keys) + max(_aggregate_call_count(query), 1)
-            est_state_bytes = (
-                groups * state_width * state_size_feedback.bytes_per_cell()
-            )
-            raw_bytes = chunk.estimated_bytes()
-            if est_state_bytes >= raw_bytes:
-                optimizer_stats.adaptive_fallback += 1
-                return False
-            optimizer_stats.adaptive_partial += 1
-            continue
-        rows = min(len(chunk), GROUP_FALLBACK_SAMPLE_ROWS)
+        chunk = database.table(table)
+        rows = len(chunk)
         if rows < GROUP_FALLBACK_MIN_ROWS:
             continue
-        arrays = [chunk.column_array(key) for key in keys]
-        if any(array is None for array in arrays):
-            return True
-        if len(arrays) == 1:
-            observed = len({freeze_value(value) for value in arrays[0][:rows]})
-        else:
-            observed = len(
-                {
-                    tuple(freeze_value(value) for value in values)
-                    for values in zip(*(array[:rows] for array in arrays))
-                }
-            )
-        if observed >= GROUP_FALLBACK_RATIO * rows:
+        table_stats = chunk.stats()
+        groups = 1
+        for key in keys:
+            summary = table_stats.column(key)
+            if summary is None:
+                return True
+            groups *= max(summary.distinct, 1)
+        if min(groups, rows) >= GROUP_FALLBACK_RATIO * rows:
+            optimizer_stats.adaptive_fallback += 1
             return False
+        optimizer_stats.adaptive_partial += 1
     return True
 
 
@@ -486,6 +412,30 @@ class Task:
             injector=context.injector,
         )
 
+    def _receive_parts(
+        self,
+        context: ExecutionContext,
+        parts: Sequence[Tuple[str, str]],
+        label: str,
+    ) -> Tuple[List[Relation], int]:
+        """Receive every ``(task_id, node)`` part here, in partition order.
+
+        Each part ships as ``label@node`` without being registered (the
+        caller registers the union once, keeping the catalog shape stable).
+        Returns the received relations and their total row count.
+        """
+        received: List[Relation] = []
+        total_in = 0
+        for part_id, part_node in parts:
+            relation = context.outputs[part_id]
+            total_in += len(relation)
+            received.append(
+                self._receive(
+                    context, relation, f"{label}@{part_node}", part_node, register=False
+                )
+            )
+        return received, total_in
+
     def _engine(
         self,
         context: ExecutionContext,
@@ -545,8 +495,16 @@ def _observe_rows_estimate(
 
 @dataclass
 class FragmentTask(Task):
-    """Run one fragment query on this node (a leaf scan or a chained hop)."""
+    """Run one fragment query on this node (a leaf scan or a chained hop).
 
+    Kind ``"fragment"`` emits the fragment's output.  Kind ``"partial"``
+    runs a decomposable GROUP BY fragment in *partial* mode instead: it
+    emits mergeable aggregate states (one row per group of the local
+    chunk), so the rows that travel up the tree from here on are group
+    states, not raw data.
+    """
+
+    kind: str = "fragment"
     fragment: Optional[QueryFragment] = None
     query: Optional[ast.Query] = None
     #: Producing task of the input relation; ``None`` when the input is
@@ -568,22 +526,26 @@ class FragmentTask(Task):
             source = database.table(self.in_name) if self.in_name in database else None
             input_rows = len(source) if source is not None else 0
         context.charge_compute(input_rows, self.node)
-        output, elapsed = self._engine(context, database, "query", self.query)
+        partial = self.kind == "partial"
+        output, elapsed = self._engine(
+            context, database, "partial" if partial else "query", self.query
+        )
         output.name = self.display_name
         database.register(self.out_name, output)
         context.annotate_io(input_rows, output)
         _observe_rows_estimate(context, self.query, source, output)
+        sql = self.fragment.sql if self.fragment else ""
         context.record_execution(
             self.order,
             FragmentExecution(
                 fragment_name=self.display_name,
                 node=self.node,
                 level=self.fragment.level.short_name if self.fragment else "",
-                sql=self.fragment.sql if self.fragment else "",
+                sql=f"partial({sql})" if partial and self.fragment else sql,
                 input_rows=input_rows,
                 output_rows=len(output),
                 elapsed_seconds=elapsed,
-            )
+            ),
         )
         return output
 
@@ -592,6 +554,7 @@ class FragmentTask(Task):
 class RawScanTask(Task):
     """Expose a node's resident chunk of a base table as a task output."""
 
+    kind: str = "scan"
     table_name: str = ""
 
     def execute(self, context: ExecutionContext) -> Relation:
@@ -604,27 +567,13 @@ class RawScanTask(Task):
 class MergeTask(Task):
     """Union sibling partials, in deterministic partition order."""
 
+    kind: str = "merge"
     parts: List[Tuple[str, str]] = field(default_factory=list)  # (task_id, node)
     out_name: str = ""
     display_name: str = ""
 
     def execute(self, context: ExecutionContext) -> Relation:
-        partials: List[Relation] = []
-        total_in = 0
-        for part_id, part_node in self.parts:
-            relation = context.outputs[part_id]
-            total_in += len(relation)
-            # Log the shipment of each partial towards the merge point; the
-            # union itself is registered once below, so partials are not
-            # individually registered (keeps the catalog shape stable).
-            received = self._receive(
-                context,
-                relation,
-                f"{self.display_name}@{part_node}",
-                part_node,
-                register=False,
-            )
-            partials.append(received)
+        partials, total_in = self._receive_parts(context, self.parts, self.display_name)
         merged, elapsed = context.engine_call(
             union_partials, partials, self.display_name
         )
@@ -635,74 +584,14 @@ class MergeTask(Task):
             FragmentExecution(
                 fragment_name=f"merge({self.display_name})",
                 node=self.node,
-                level=self.network_level(context),
+                level=context.network.topology.node(self.node).level.short_name,
                 sql=f"UNION ALL of {len(self.parts)} partials",
                 input_rows=total_in,
                 output_rows=len(merged),
                 elapsed_seconds=elapsed,
-            )
-        )
-        return merged
-
-    def network_level(self, context: ExecutionContext) -> str:
-        return context.network.topology.node(self.node).level.short_name
-
-
-@dataclass
-class PartialAggregateTask(Task):
-    """Run a decomposable GROUP BY fragment in *partial* mode on this node.
-
-    Emits mergeable aggregate states (one row per group of the local
-    chunk) instead of the fragment's finalized output — the rows that
-    travel up the tree from here on are group states, not raw data.
-    """
-
-    fragment: Optional[QueryFragment] = None
-    query: Optional[ast.Query] = None
-    source_id: Optional[str] = None
-    source_node: Optional[str] = None
-    in_name: str = ""
-    out_name: str = ""
-    display_name: str = ""
-
-    def execute(self, context: ExecutionContext) -> Relation:
-        network = context.network
-        database = network.database(self.node)
-        if self.source_id is not None:
-            source = context.outputs[self.source_id]
-            self._receive(context, source, self.in_name, self.source_node or self.node)
-            input_rows = len(source)
-        else:
-            source = database.table(self.in_name) if self.in_name in database else None
-            input_rows = len(source) if source is not None else 0
-        context.charge_compute(input_rows, self.node)
-        output, elapsed = self._engine(context, database, "partial", self.query)
-        output.name = self.display_name
-        database.register(self.out_name, output)
-        # Observed state size feeds the adaptive partial-aggregation ratio:
-        # future placement decisions use real packed bytes per state cell.
-        from repro.engine.wire import state_size_feedback
-
-        state_size_feedback.record(
-            len(output),
-            output.estimated_bytes(),
-            cells=len(output) * len(output.schema),
-        )
-        context.annotate_io(input_rows, output)
-        _observe_rows_estimate(context, self.query, source, output)
-        context.record_execution(
-            self.order,
-            FragmentExecution(
-                fragment_name=self.display_name,
-                node=self.node,
-                level=self.fragment.level.short_name if self.fragment else "",
-                sql=f"partial({self.fragment.sql})" if self.fragment else "",
-                input_rows=input_rows,
-                output_rows=len(output),
-                elapsed_seconds=elapsed,
             ),
         )
-        return output
+        return merged
 
 
 @dataclass
@@ -714,6 +603,7 @@ class CombinePartialsTask(Task):
     partial-aggregation protocol.  Output stays in partial-state form.
     """
 
+    kind: str = "combine"
     fragment: Optional[QueryFragment] = None
     query: Optional[ast.Query] = None
     parts: List[Tuple[str, str]] = field(default_factory=list)  # (task_id, node)
@@ -721,19 +611,7 @@ class CombinePartialsTask(Task):
     display_name: str = ""
 
     def execute(self, context: ExecutionContext) -> Relation:
-        partials: List[Relation] = []
-        total_in = 0
-        for part_id, part_node in self.parts:
-            relation = context.outputs[part_id]
-            total_in += len(relation)
-            received = self._receive(
-                context,
-                relation,
-                f"{self.display_name}@{part_node}",
-                part_node,
-                register=False,
-            )
-            partials.append(received)
+        partials, total_in = self._receive_parts(context, self.parts, self.display_name)
         merged = union_partials(partials, self.display_name)
         context.charge_compute(total_in, self.node)
         database = context.network.database(self.node)
@@ -768,6 +646,7 @@ class FinalizeAggregationTask(Task):
     globally merged raw input — which never had to exist.
     """
 
+    kind: str = "finalize_agg"
     fragment: Optional[QueryFragment] = None
     query: Optional[ast.Query] = None
     parts: List[Tuple[str, str]] = field(default_factory=list)  # (task_id, node)
@@ -775,20 +654,9 @@ class FinalizeAggregationTask(Task):
     display_name: str = ""
 
     def execute(self, context: ExecutionContext) -> Relation:
-        partials: List[Relation] = []
-        total_in = 0
-        for part_id, part_node in self.parts:
-            relation = context.outputs[part_id]
-            total_in += len(relation)
-            received = self._receive(
-                context,
-                relation,
-                f"{self.display_name}~partial@{part_node}",
-                part_node,
-                register=False,
-            )
-            partials.append(received)
-        merged = union_partials(partials, f"{self.display_name}~partial")
+        label = f"{self.display_name}~partial"
+        partials, total_in = self._receive_parts(context, self.parts, label)
+        merged = union_partials(partials, label)
         context.charge_compute(total_in, self.node)
         database = context.network.database(self.node)
         output, elapsed = self._engine(
@@ -816,6 +684,7 @@ class FinalizeAggregationTask(Task):
 class AnonymizeTask(Task):
     """The postprocessing step A on the last in-apartment node."""
 
+    kind: str = "anonymize"
     source_id: str = ""
     source_node: str = ""
 
@@ -837,6 +706,7 @@ class AnonymizeTask(Task):
 class FinalizeTask(Task):
     """Ship d' across the boundary and run the remainder at the cloud."""
 
+    kind: str = "finalize"
     source_id: str = ""
     source_node: str = ""
     result_name: str = ""
@@ -888,6 +758,151 @@ class ExecutionDag:
         return {task.task_id: task for task in self.tasks}
 
 
+#: A partition of the current intermediate relation: the task producing
+#: it, or — below the bottom fragment — the name of a node holding a base
+#: chunk.
+Partition = Union[Task, str]
+
+
+class _DagBuilder:
+    """Task construction for :func:`build_execution_dag`, one helper per
+    placement shape.
+
+    Every task gets the next build-order number and the id
+    ``t<order>:<label>``; ``namespace`` suffixes every intermediate
+    relation name (base tables stay shared and un-suffixed).
+    """
+
+    def __init__(self, topology: Topology, namespace: Optional[str]) -> None:
+        self.topology = topology
+        self.namespace = namespace
+        self.tasks: List[Task] = []
+
+    def ns(self, name: str) -> str:
+        return f"{name}__{self.namespace}" if self.namespace else name
+
+    def add(self, cls, label: str, **fields) -> Task:
+        order = len(self.tasks) + 1
+        task = cls(task_id=f"t{order:03d}:{label}", order=order, **fields)
+        self.tasks.append(task)
+        return task
+
+    def run(
+        self,
+        fragment: QueryFragment,
+        node: str,
+        source: Optional[Task],
+        label: str,
+        kind: str = "fragment",
+    ) -> Task:
+        """Run ``fragment`` on ``node`` over ``source``'s output, or over
+        the base relation resident on ``node`` when ``source`` is None."""
+        in_base = fragment.input_name
+        in_name = self.ns(in_base) if source is not None else in_base
+        out_base = f"{fragment.name}__partial" if kind == "partial" else fragment.name
+        return self.add(
+            FragmentTask,
+            label,
+            node=node,
+            kind=kind,
+            deps=[source.task_id] if source is not None else [],
+            fragment=fragment,
+            query=rebase_table_refs(fragment.query, in_base, in_name),
+            source_id=source.task_id if source is not None else None,
+            source_node=source.node if source is not None else None,
+            in_name=in_name,
+            out_name=self.ns(out_base),
+            display_name=label,
+        )
+
+    def in_place(
+        self, fragment: QueryFragment, partitions: Sequence[Partition], kind: str = "fragment"
+    ) -> List[Task]:
+        """Run ``fragment`` (or its partial) where every partition lives —
+        no rows move."""
+        suffix = "~partial" if kind == "partial" else ""
+        tasks = []
+        for partition in partitions:
+            leaf = isinstance(partition, str)
+            node = partition if leaf else partition.node
+            source = None if leaf else partition
+            tasks.append(
+                self.run(fragment, node, source, f"{fragment.name}{suffix}[{node}]", kind)
+            )
+        return tasks
+
+    def merge(
+        self, parts: Sequence[Task], node: str, relation: str, tag: Optional[str] = None
+    ) -> Task:
+        """Union ``parts`` at ``node`` as (namespaced) ``relation``."""
+        where = f"@{tag}" if tag else ""
+        return self.add(
+            MergeTask,
+            f"merge[{relation}{where}]",
+            node=node,
+            deps=[task.task_id for task in parts],
+            parts=[(task.task_id, task.node) for task in parts],
+            out_name=self.ns(relation),
+            display_name=relation,
+        )
+
+    def merge_and_run(
+        self,
+        fragment: QueryFragment,
+        parts: Sequence[Task],
+        merge_node: str,
+        node: str,
+        tag: Optional[str] = None,
+    ) -> Task:
+        """Merge ``parts`` at ``merge_node``, then run
+        ``fragment`` on ``node`` over the union.  ``tag`` names a per-parent
+        lift (one of several sibling merges of the same relation)."""
+        merged = self.merge(parts, merge_node, fragment.input_name, tag)
+        label = f"{fragment.name}[{tag}]" if tag else fragment.name
+        return self.run(fragment, node, merged, label)
+
+    def combine_and_finalize(
+        self, fragment: QueryFragment, partials: Sequence[Task]
+    ) -> Task:
+        """Lift partial states up the tree, then finalize the fragment.
+
+        Sibling partial-state relations combine at their common parent one
+        tree level at a time (the same lift rule distributive fragments
+        use); whatever states remain merge and finalize where the serial
+        oracle runs the fragment.
+        """
+        current = list(partials)
+        while len(current) > 1:
+            lifted = _lift_groups(self.topology, current)
+            if lifted is None:
+                break
+            current = [
+                self.add(
+                    CombinePartialsTask,
+                    f"{fragment.name}~combine[{parent}]",
+                    node=parent,
+                    deps=[task.task_id for task in group],
+                    fragment=fragment,
+                    query=fragment.query,
+                    parts=[(task.task_id, task.node) for task in group],
+                    out_name=self.ns(f"{fragment.name}__partial"),
+                    display_name=f"{fragment.name}~partial",
+                )
+                for parent, group in lifted
+            ]
+        return self.add(
+            FinalizeAggregationTask,
+            f"{fragment.name}~finalize",
+            node=fragment.assigned_node or self.topology.cloud.name,
+            deps=[task.task_id for task in current],
+            fragment=fragment,
+            query=fragment.query,
+            parts=[(task.task_id, task.node) for task in current],
+            out_name=self.ns(fragment.name),
+            display_name=fragment.name,
+        )
+
+
 def build_execution_dag(
     plan: FragmentPlan,
     topology: Topology,
@@ -895,7 +910,6 @@ def build_execution_dag(
     anonymize: bool = True,
     namespace: Optional[str] = None,
     partial_aggregation: bool = True,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> ExecutionDag:
     """Build the execution DAG for ``plan`` over ``topology``.
 
@@ -908,196 +922,64 @@ def build_execution_dag(
     run as per-partition partial aggregation whose mergeable states combine
     at each tree level (reusing the sibling-lift machinery) and finalize at
     the fragment's assigned node — no global merge of raw rows ever
-    happens.  ``False`` restores the merge-then-group behaviour (the
-    ablation baseline the pushdown benchmark compares against).
-
-    ``config`` is the run's engine configuration; its ``optimizer`` field
-    selects the adaptive partial-aggregation rule
-    (:func:`partial_aggregation_pays`).
+    happens, unless :func:`partial_aggregation_pays` says the partition's
+    group count is too high.  ``False`` restores the merge-then-group
+    behaviour (the ablation baseline the pushdown benchmark compares
+    against).
     """
     if not plan.fragments:
         raise ValueError("Cannot build an execution DAG for an empty plan")
-
-    def ns(name: str) -> str:
-        return f"{name}__{namespace}" if namespace else name
-
-    tasks: List[Task] = []
-    counter = [0]
-
-    def next_id(prefix: str) -> Tuple[str, int]:
-        counter[0] += 1
-        return f"t{counter[0]:03d}:{prefix}", counter[0]
-
-    def add(task: Task) -> Task:
-        tasks.append(task)
-        return task
-
+    build = _DagBuilder(topology, namespace)
     fragments = list(plan.fragments)
-    base_table = fragments[0].input_name
+    first = fragments[0]
+    base_table = first.input_name
     holders = network.partition_holders(base_table)
-    partition_width = len(holders)
 
-    #: Ordered (task, node) partials of the current intermediate relation.
-    partitions: List[Task] = []
-    remaining = fragments
+    def target(fragment: QueryFragment) -> str:
+        return fragment.assigned_node or topology.cloud.name
 
-    def combine_and_finalize(fragment: QueryFragment, partial_tasks: List[Task]) -> Task:
-        """Lift partial states up the tree, then finalize the fragment.
-
-        Sibling partial-state relations combine at their common parent one
-        tree level at a time (the same lift rule distributive fragments
-        use); whatever states remain merge and finalize where the serial
-        oracle runs the fragment.
-        """
-        partial_name = ns(f"{fragment.name}__partial")
-        current = partial_tasks
-        while len(current) > 1:
-            lifted = _lift_groups(topology, current)
-            if lifted is None:
-                break
-            next_level: List[Task] = []
-            for parent, group in lifted:
-                task_id, order = next_id(f"{fragment.name}~combine[{parent}]")
-                next_level.append(
-                    add(
-                        CombinePartialsTask(
-                            task_id=task_id,
-                            node=parent,
-                            order=order,
-                            deps=[task.task_id for task in group],
-                            kind="combine",
-                            fragment=fragment,
-                            query=fragment.query,
-                            parts=[(task.task_id, task.node) for task in group],
-                            out_name=partial_name,
-                            display_name=f"{fragment.name}~partial",
-                        )
-                    )
-                )
-            current = next_level
-        target = fragment.assigned_node or topology.cloud.name
-        task_id, order = next_id(f"{fragment.name}~finalize")
-        return add(
-            FinalizeAggregationTask(
-                task_id=task_id,
-                node=target,
-                order=order,
-                deps=[task.task_id for task in current],
-                kind="finalize_agg",
-                fragment=fragment,
-                query=fragment.query,
-                parts=[(task.task_id, task.node) for task in current],
-                out_name=ns(fragment.name),
-                display_name=fragment.name,
-            )
+    def decomposes(fragment: QueryFragment, nodes: Sequence[str]) -> bool:
+        return (
+            partial_aggregation
+            and fragment.decomposable
+            and partial_aggregation_pays(network, nodes, fragment, base_table)
         )
 
-    if len(holders) > 1:
-        first = fragments[0]
-        if first.partitionable:
-            # Fan the bottom fragment out over the leaf chunks.
-            for holder in holders:
-                task_id, order = next_id(f"{first.name}[{holder}]")
-                partitions.append(
-                    add(
-                        FragmentTask(
-                            task_id=task_id,
-                            node=holder,
-                            order=order,
-                            kind="fragment",
-                            fragment=first,
-                            query=rebase_table_refs(first.query, base_table, base_table),
-                            in_name=base_table,
-                            out_name=ns(first.name),
-                            display_name=f"{first.name}[{holder}]",
-                        )
-                    )
-                )
-            remaining = fragments[1:]
-        elif (
-            partial_aggregation
-            and first.decomposable
-            and partial_aggregation_pays(network, holders, first, base_table, config)
-        ):
-            # The bottom fragment is itself a decomposable aggregation:
-            # partial-aggregate every leaf chunk in place, combine states
-            # up the tree, finalize at the assigned node.
-            partial_tasks: List[Task] = []
-            for holder in holders:
-                task_id, order = next_id(f"{first.name}~partial[{holder}]")
-                partial_tasks.append(
-                    add(
-                        PartialAggregateTask(
-                            task_id=task_id,
-                            node=holder,
-                            order=order,
-                            kind="partial",
-                            fragment=first,
-                            query=rebase_table_refs(first.query, base_table, base_table),
-                            in_name=base_table,
-                            out_name=ns(f"{first.name}__partial"),
-                            display_name=f"{first.name}~partial[{holder}]",
-                        )
-                    )
-                )
-            partitions = [combine_and_finalize(first, partial_tasks)]
-            remaining = fragments[1:]
-        else:
-            # Bottom fragment needs the whole relation: gather the raw
-            # chunks first, then run it where the serial oracle would.
-            for holder in holders:
-                task_id, order = next_id(f"scan[{holder}]")
-                partitions.append(
-                    add(
-                        RawScanTask(
-                            task_id=task_id,
-                            node=holder,
-                            order=order,
-                            kind="scan",
-                            table_name=base_table,
-                        )
-                    )
-                )
-            ancestor = topology.common_ancestor(holders).name
-            merge_id, order = next_id(f"merge[{base_table}]")
-            merge = add(
-                MergeTask(
-                    task_id=merge_id,
-                    node=ancestor,
-                    order=order,
-                    deps=[task.task_id for task in partitions],
-                    kind="merge",
-                    parts=[(task.task_id, task.node) for task in partitions],
-                    out_name=ns(base_table),
-                    display_name=base_table,
-                )
-            )
-            target = first.assigned_node or topology.cloud.name
-            task_id, order = next_id(first.name)
-            partitions = [
-                add(
-                    FragmentTask(
-                        task_id=task_id,
-                        node=target,
-                        order=order,
-                        deps=[merge.task_id],
-                        kind="fragment",
-                        fragment=first,
-                        query=rebase_table_refs(first.query, base_table, ns(base_table)),
-                        source_id=merge.task_id,
-                        source_node=merge.node,
-                        in_name=ns(base_table),
-                        out_name=ns(first.name),
-                        display_name=first.name,
-                    )
-                )
-            ]
-            remaining = fragments[1:]
+    # Bottom fragment: over the base chunks resident on ``holders``.
+    partitions: List[Task] = []
+    remaining = fragments[1:]
+    if len(holders) > 1 and first.partitionable:
+        # Fan the bottom fragment out over the leaf chunks.
+        partitions = build.in_place(first, holders)
+    elif len(holders) > 1 and decomposes(first, holders):
+        # A decomposable aggregation: partial-aggregate every leaf chunk in
+        # place, combine states up the tree, finalize at the assigned node.
+        partitions = [
+            build.combine_and_finalize(first, build.in_place(first, holders, "partial"))
+        ]
+    elif len(holders) > 1 or (
+        target(first) != holders[0] and base_table in network.database(holders[0])
+    ):
+        # The bottom fragment needs the whole relation somewhere other than
+        # where it lives: gather the raw chunks at their common ancestor (a
+        # lone chunk straight at the fragment's node), then run it where the
+        # serial oracle would.
+        scans = [
+            build.add(RawScanTask, f"scan[{holder}]", node=holder, table_name=base_table)
+            for holder in holders
+        ]
+        gather = (
+            topology.common_ancestor(holders).name if len(holders) > 1 else target(first)
+        )
+        partitions = [build.merge_and_run(first, scans, gather, target(first))]
+    else:
+        # The bottom fragment runs where its single chunk lives.
+        remaining = fragments
 
     for index, fragment in enumerate(remaining):
-        in_base = fragment.input_name
+        spread = len(partitions) > 1
         if (
-            len(partitions) > 1
+            spread
             and partial_aggregation
             and fragment.partitionable
             and _next_blocker_decomposable(remaining, index)
@@ -1106,237 +988,78 @@ def build_execution_dag(
             # fragment *in place* on every partition instead of lifting, so
             # the partition is still at the leaves when partial aggregation
             # starts — only aggregate states will ever climb the tree.
-            in_place: List[Task] = []
-            for previous in partitions:
-                task_id, order = next_id(f"{fragment.name}[{previous.node}]")
-                in_place.append(
-                    add(
-                        FragmentTask(
-                            task_id=task_id,
-                            node=previous.node,
-                            order=order,
-                            deps=[previous.task_id],
-                            kind="fragment",
-                            fragment=fragment,
-                            query=rebase_table_refs(fragment.query, in_base, ns(in_base)),
-                            source_id=previous.task_id,
-                            source_node=previous.node,
-                            in_name=ns(in_base),
-                            out_name=ns(fragment.name),
-                            display_name=f"{fragment.name}[{previous.node}]",
-                        )
-                    )
-                )
-            partitions = in_place
-            continue
-        if (
-            len(partitions) > 1
-            and partial_aggregation
-            and fragment.decomposable
-            and partial_aggregation_pays(
-                network,
-                [task.node for task in partitions],
-                fragment,
-                base_table,
-                config,
-            )
-        ):
-            # Decomposable aggregation: keep the partition, aggregate each
-            # chunk into mergeable states where it lives, combine states
-            # per tree level, finalize at the assigned node.  Only group
-            # states cross hops from here on — never the raw rows a global
-            # merge would have shipped.
-            partial_tasks = []
-            for previous in partitions:
-                task_id, order = next_id(f"{fragment.name}~partial[{previous.node}]")
-                partial_tasks.append(
-                    add(
-                        PartialAggregateTask(
-                            task_id=task_id,
-                            node=previous.node,
-                            order=order,
-                            deps=[previous.task_id],
-                            kind="partial",
-                            fragment=fragment,
-                            query=rebase_table_refs(fragment.query, in_base, ns(in_base)),
-                            source_id=previous.task_id,
-                            source_node=previous.node,
-                            in_name=ns(in_base),
-                            out_name=ns(f"{fragment.name}__partial"),
-                            display_name=f"{fragment.name}~partial[{previous.node}]",
-                        )
-                    )
-                )
-            partitions = [combine_and_finalize(fragment, partial_tasks)]
-            continue
-        if len(partitions) > 1:
-            lifted = _lift_groups(topology, partitions)
-            if fragment.partitionable and lifted is not None:
-                # Merge each sibling group at its parent, then apply the
-                # fragment there: the partition narrows one tree level.
-                new_partitions: List[Task] = []
-                for parent, group in lifted:
-                    merge_id, order = next_id(f"merge[{in_base}@{parent}]")
-                    merge = add(
-                        MergeTask(
-                            task_id=merge_id,
-                            node=parent,
-                            order=order,
-                            deps=[task.task_id for task in group],
-                            kind="merge",
-                            parts=[(task.task_id, task.node) for task in group],
-                            out_name=ns(in_base),
-                            display_name=in_base,
-                        )
-                    )
-                    task_id, order = next_id(f"{fragment.name}[{parent}]")
-                    new_partitions.append(
-                        add(
-                            FragmentTask(
-                                task_id=task_id,
-                                node=parent,
-                                order=order,
-                                deps=[merge.task_id],
-                                kind="fragment",
-                                fragment=fragment,
-                                query=rebase_table_refs(
-                                    fragment.query, in_base, ns(in_base)
-                                ),
-                                source_id=merge.task_id,
-                                source_node=merge.node,
-                                in_name=ns(in_base),
-                                out_name=ns(fragment.name),
-                                display_name=f"{fragment.name}[{parent}]",
-                            )
-                        )
-                    )
-                partitions = new_partitions
-                continue
-            # Non-distributive fragment (or nowhere left to lift): merge
-            # everything at the node the serial oracle uses and chain on.
-            target = fragment.assigned_node or topology.cloud.name
-            merge_id, order = next_id(f"merge[{in_base}]")
-            merge = add(
-                MergeTask(
-                    task_id=merge_id,
-                    node=target,
-                    order=order,
-                    deps=[task.task_id for task in partitions],
-                    kind="merge",
-                    parts=[(task.task_id, task.node) for task in partitions],
-                    out_name=ns(in_base),
-                    display_name=in_base,
-                )
-            )
-            task_id, order = next_id(fragment.name)
+            partitions = build.in_place(fragment, partitions)
+        elif spread and decomposes(fragment, [task.node for task in partitions]):
+            # Decomposable aggregation: aggregate each partition into
+            # mergeable states where it lives, combine states per tree
+            # level, finalize at the assigned node.  Only group states
+            # cross hops from here on — never the raw rows a global merge
+            # would have shipped.
             partitions = [
-                add(
-                    FragmentTask(
-                        task_id=task_id,
-                        node=target,
-                        order=order,
-                        deps=[merge.task_id],
-                        kind="fragment",
-                        fragment=fragment,
-                        query=rebase_table_refs(fragment.query, in_base, ns(in_base)),
-                        source_id=merge.task_id,
-                        source_node=merge.node,
-                        in_name=ns(in_base),
-                        out_name=ns(fragment.name),
-                        display_name=fragment.name,
-                    )
+                build.combine_and_finalize(
+                    fragment, build.in_place(fragment, partitions, "partial")
                 )
             ]
-            continue
-        # Single-stream chain: exactly the serial oracle's hop.
-        target = fragment.assigned_node or topology.cloud.name
-        previous = partitions[0] if partitions else None
-        task_id, order = next_id(fragment.name)
-        rebased_in = ns(in_base) if previous is not None else in_base
-        partitions = [
-            add(
-                FragmentTask(
-                    task_id=task_id,
-                    node=target,
-                    order=order,
-                    deps=[previous.task_id] if previous is not None else [],
-                    kind="fragment",
-                    fragment=fragment,
-                    query=rebase_table_refs(fragment.query, in_base, rebased_in),
-                    source_id=previous.task_id if previous is not None else None,
-                    source_node=previous.node if previous is not None else None,
-                    in_name=rebased_in,
-                    out_name=ns(fragment.name),
-                    display_name=fragment.name,
-                )
-            )
-        ]
+        elif (
+            spread
+            and fragment.partitionable
+            and (lifted := _lift_groups(topology, partitions)) is not None
+        ):
+            # Merge each sibling group at its parent, then apply the
+            # fragment there: the partition narrows one tree level.
+            partitions = [
+                build.merge_and_run(fragment, group, parent, parent, tag=parent)
+                for parent, group in lifted
+            ]
+        elif spread:
+            # Non-distributive fragment (or nowhere left to lift): merge
+            # everything at the node the serial oracle uses and chain on.
+            node = target(fragment)
+            partitions = [build.merge_and_run(fragment, partitions, node, node)]
+        else:
+            # Single-stream chain: exactly the serial oracle's hop.
+            previous = partitions[0] if partitions else None
+            partitions = [build.run(fragment, target(fragment), previous, fragment.name)]
 
     if len(partitions) > 1:
         # Every fragment was distributive: one final union before leaving.
         ancestor = topology.common_ancestor([task.node for task in partitions]).name
-        final_name = fragments[-1].name
-        merge_id, order = next_id(f"merge[{final_name}]")
-        partitions = [
-            add(
-                MergeTask(
-                    task_id=merge_id,
-                    node=ancestor,
-                    order=order,
-                    deps=[task.task_id for task in partitions],
-                    kind="merge",
-                    parts=[(task.task_id, task.node) for task in partitions],
-                    out_name=ns(final_name),
-                    display_name=final_name,
-                )
-            )
-        ]
+        partitions = [build.merge(partitions, ancestor, fragments[-1].name)]
 
     current = partitions[0]
-
     if anonymize:
-        boundary = last_inside_node(topology, current.node)
-        task_id, order = next_id("anonymize")
-        current = add(
-            AnonymizeTask(
-                task_id=task_id,
-                node=boundary,
-                order=order,
-                deps=[current.task_id],
-                kind="anonymize",
-                source_id=current.task_id,
-                source_node=current.node,
-            )
+        current = build.add(
+            AnonymizeTask,
+            "anonymize",
+            node=last_inside_node(topology, current.node),
+            deps=[current.task_id],
+            source_id=current.task_id,
+            source_node=current.node,
         )
 
-    cloud = topology.cloud.name
     remainder_query = None
     if plan.remainder_query is not None:
         remainder_query = rebase_table_refs(
             plan.remainder_query,
             plan.remainder_input_alias,
-            ns(plan.remainder_input_alias),
+            build.ns(plan.remainder_input_alias),
         )
-    task_id, order = next_id("finalize")
-    final = add(
-        FinalizeTask(
-            task_id=task_id,
-            node=cloud,
-            order=order,
-            deps=[current.task_id],
-            kind="finalize",
-            source_id=current.task_id,
-            source_node=current.node,
-            result_name=ns(plan.result_name),
-            remainder_query=remainder_query,
-            remainder_input_alias=ns(plan.remainder_input_alias),
-            remainder_description=plan.remainder_description,
-        )
+    final = build.add(
+        FinalizeTask,
+        "finalize",
+        node=topology.cloud.name,
+        deps=[current.task_id],
+        source_id=current.task_id,
+        source_node=current.node,
+        result_name=build.ns(plan.result_name),
+        remainder_query=remainder_query,
+        remainder_input_alias=build.ns(plan.remainder_input_alias),
+        remainder_description=plan.remainder_description,
     )
 
-    _assign_signatures(tasks, network)
+    _assign_signatures(build.tasks, network)
     return ExecutionDag(
-        tasks=tasks, final_task_id=final.task_id, partition_width=partition_width
+        tasks=build.tasks, final_task_id=final.task_id, partition_width=len(holders)
     )
 
 

@@ -34,7 +34,7 @@ from repro.engine.stats import (
 from repro.engine.table import Relation
 from repro.engine.types import DataType
 from repro.engine.vectorized import estimate_select_rows
-from repro.engine.wire import pack_relation, state_size_feedback, unpack_relation
+from repro.engine.wire import pack_relation, unpack_relation
 from repro.fragment.capabilities import CapabilityLevel
 from repro.fragment.plan import QueryFragment
 from repro.runtime.dag import partial_aggregation_pays
@@ -361,38 +361,29 @@ def _chunk_database(rows: list) -> Database:
     return database
 
 
-def test_adaptive_placement_high_cardinality_falls_back():
-    state_size_feedback.reset()  # predictable DEFAULT_BYTES_PER_ROW
-    rows = [{"k": i, "v": float(i)} for i in range(200)]  # every key distinct
+GROUP_BY_K = "SELECT k, COUNT(*) AS n FROM d GROUP BY k"
+
+
+@pytest.mark.parametrize(
+    "sql, key_of, pays, counter",
+    [
+        # Every key distinct: states are as many as raw rows -> global merge.
+        (GROUP_BY_K, lambda i: i, False, "adaptive_fallback"),
+        # Three groups per chunk: states merge at every level -> partial.
+        (GROUP_BY_K, lambda i: i % 3, True, "adaptive_partial"),
+        # Global aggregate: one state row, always partial (nothing observed).
+        ("SELECT COUNT(*) AS n FROM d", lambda i: i, True, None),
+    ],
+    ids=["high_share", "low_share", "global_aggregate"],
+)
+def test_placement_rule_follows_distinct_share(sql, key_of, pays, counter):
+    rows = [{"k": key_of(i), "v": float(i)} for i in range(200)]
     network = _FakeNetwork({"leaf": _chunk_database(rows)})
-    fragment = _groupby_fragment("SELECT k, COUNT(*) AS n FROM d GROUP BY k")
-    before = optimizer_stats.adaptive_fallback
-    assert (
-        partial_aggregation_pays(network, ["leaf"], fragment, "d", OPTIMIZED) is False
-    )
-    assert optimizer_stats.adaptive_fallback > before
-
-
-def test_adaptive_placement_low_cardinality_pays():
-    state_size_feedback.reset()
-    rows = [{"k": i % 3, "v": float(i)} for i in range(200)]
-    network = _FakeNetwork({"leaf": _chunk_database(rows)})
-    fragment = _groupby_fragment("SELECT k, COUNT(*) AS n FROM d GROUP BY k")
-    before = optimizer_stats.adaptive_partial
-    assert (
-        partial_aggregation_pays(network, ["leaf"], fragment, "d", OPTIMIZED) is True
-    )
-    assert optimizer_stats.adaptive_partial > before
-
-
-def test_legacy_ratio_rule_with_optimizer_off():
-    rows_high = [{"k": i, "v": float(i)} for i in range(200)]
-    rows_low = [{"k": i % 3, "v": float(i)} for i in range(200)]
-    fragment = _groupby_fragment("SELECT k, COUNT(*) AS n FROM d GROUP BY k")
-    high = _FakeNetwork({"leaf": _chunk_database(rows_high)})
-    assert partial_aggregation_pays(high, ["leaf"], fragment, "d", ABLATED) is False
-    low = _FakeNetwork({"leaf": _chunk_database(rows_low)})
-    assert partial_aggregation_pays(low, ["leaf"], fragment, "d", ABLATED) is True
+    counters = ("adaptive_partial", "adaptive_fallback")
+    before = {name: getattr(optimizer_stats, name) for name in counters}
+    assert partial_aggregation_pays(network, ["leaf"], _groupby_fragment(sql), "d") is pays
+    for name, value in before.items():
+        assert getattr(optimizer_stats, name) == value + (name == counter)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from benchmarks.common import synthetic_sensor_relation
 from tests.conftest import make_sensor_relation
 
 from repro.engine.schema import ColumnDef, Schema
@@ -184,6 +185,25 @@ def test_decomposable_group_by_plan_has_no_global_merge():
     )
     assert [task.kind for task in baseline.tasks].count("merge") >= 1
     assert [task.kind for task in baseline.tasks].count("partial") == 0
+
+
+def test_group_by_placement_does_not_depend_on_earlier_queries():
+    # One key per row: the rule falls back to the global merge, and running
+    # another aggregation first must not flip that choice.
+    processor = make_processor(synthetic_sensor_relation(3000), n_sensors=8)
+    plan = processor.fragmenter.fragment(parse("SELECT t, COUNT(*) AS n FROM d GROUP BY t"))
+
+    def partial_tasks():
+        dag = build_execution_dag(plan, processor.topology, processor.network)
+        return [task.task_id for task in dag.tasks if task.kind == "partial"]
+
+    assert partial_tasks() == []
+    processor.process(
+        "SELECT x, COUNT(*) AS n, AVG(z) AS az FROM d GROUP BY x",
+        "ActionFilter",
+        execution="parallel",
+    )
+    assert partial_tasks() == []
 
 
 def test_partial_states_cross_hops_instead_of_raw_rows():

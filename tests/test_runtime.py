@@ -270,6 +270,39 @@ def test_parallel_matches_serial_no_pushdown_baseline():
     assert serial.rows_leaving_apartment == 200
 
 
+#: Queries whose bottom fragment is a whole stage reading the base table
+#: (set operation, self-join, subqueries): the fragment runs above the
+#: sensor, so the sensor's table must travel to it.
+WHOLE_STAGE_WORKLOADS = [
+    "SELECT x FROM d WHERE z < 1 UNION ALL SELECT x FROM d WHERE z > 3",
+    "SELECT a.x FROM d AS a JOIN d AS b ON a.t = b.t WHERE a.z < 1",
+    "SELECT x, z FROM d WHERE z > (SELECT AVG(z) FROM d)",
+    "SELECT x, z FROM d WHERE x IN (SELECT x FROM d WHERE z < 1)",
+]
+
+
+@pytest.mark.parametrize("sql", WHOLE_STAGE_WORKLOADS)
+@pytest.mark.parametrize("topology", ["chain", "tree4"])
+def test_whole_stage_bottom_fragments_match_oracle(topology, sql):
+    def build(**kwargs):
+        if topology == "chain":
+            processor = ParadiseProcessor(figure4_policy(), **kwargs)
+            processor.load_data(make_sensor_relation(200))
+            return processor
+        return build_tree_processor(rows=200, n_sensors=4, **kwargs)
+
+    options = {"apply_rewriting": False, "anonymize": False}
+    oracle = build(engine_mode="interpreted").process(
+        sql, "ActionFilter", execution="serial", **options
+    )
+    processor = build()
+    for execution, namespace in (("serial", None), ("parallel", None), ("parallel", "s1")):
+        result = processor.process(
+            sql, "ActionFilter", execution=execution, namespace=namespace, **options
+        )
+        assert_identical(oracle, result)
+
+
 # ---------------------------------------------------------------------------
 # determinism under concurrency
 # ---------------------------------------------------------------------------
